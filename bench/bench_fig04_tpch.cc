@@ -82,10 +82,10 @@ int main() {
                      row.smooth);
   }
 
-  // Morsel-driven variant: the Smooth Scan LINEITEM leaf runs below a Gather
-  // exchange. Simulated time and #I/O requests stay DOP-invariant by design;
+  // Morsel-driven variant: the Smooth Scan LINEITEM leaf is a parallel scan,
+  // the plan's exchange boundary. Simulated time and #I/O requests stay DOP-invariant by design;
   // the workers only buy wall-clock time.
-  std::printf("\n# Fig 4b: parallel Smooth Scan leaf (Gather exchange)\n");
+  std::printf("\n# Fig 4b: parallel Smooth Scan leaf (morsel-driven leaf)\n");
   std::printf("%-6s %-6s %12s %12s %10s %12s\n", "query", "dop", "total",
               "io_reqs", "wall_ms", "speedup");
   for (const int q : queries) {

@@ -30,6 +30,12 @@ one of the engine's structural invariants:
                      and the wall clock), which is what keeps simulated
                      per-query cost bit-identical with metrics/tracing on
                      or off.
+  kernel-page-loop   No page or tuple access (GetTuple( / ->Pin( /
+                     FetchExtent( / heap ->Read() in
+                     src/access/parallel_scan.cc: a parallel kernel is a
+                     decomposition that runs the serial operator (or the
+                     phase function it shares) per morsel, never a second
+                     copy of the operator's loop.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -109,6 +115,16 @@ RULES = [
         "message": "accounting primitive referenced from src/obs/ "
                    "(observability must never touch simulated cost)",
         "applies": lambda rel: rel.startswith("obs" + os.sep),
+    },
+    {
+        "name": "kernel-page-loop",
+        "pattern": re.compile(
+            r"\bGetTuple\(|->Pin\(|\bFetchExtent\(|heap\w*(?:\(\))?->Read\("
+        ),
+        "message": "page/tuple access in a parallel kernel (run the serial "
+                   "operator, or its shared phase function, per morsel)",
+        "applies": lambda rel: rel == os.path.join("access",
+                                                   "parallel_scan.cc"),
     },
 ]
 

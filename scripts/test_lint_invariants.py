@@ -93,6 +93,18 @@ class LintTest(unittest.TestCase):
                    "void H(SimDisk* d, CpuMeter* c) { (void)d; (void)c; }\n")
         self.assertEqual(self.names(), ["obs-accounting", "obs-accounting"])
 
+    def test_kernel_page_loop_fires_in_parallel_scan_only(self):
+        loop = ("const PageGuard g = ctx.pool->Pin(file, pid);\n"
+                "const uint8_t* data = page.GetTuple(s, &size);\n"
+                "ctx.pool->FetchExtent(file, pid, run);\n"
+                "Tuple t = index_->heap()->Read(tid, ctx);\n"
+                "Tuple u = heap->Read(tid, ctx);\n")
+        self.write("access/parallel_scan.cc",
+                   loop + "FullScan scan(heap_, predicate_, options);\n"
+                   "const AccessPathStats stats = Drain(scan, ctx, emit);\n")
+        self.write("access/smooth_scan.cc", loop)  # The operators own loops.
+        self.assertEqual(self.names(), ["kernel-page-loop"] * 5)
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

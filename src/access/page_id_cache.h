@@ -18,19 +18,22 @@ namespace smoothscan {
 
 class PageIdCache {
  public:
-  explicit PageIdCache(size_t num_pages) : bits_(num_pages, false) {}
+  /// Covers pages [first_page, first_page + num_pages): a morsel's cache is
+  /// sized to its page range, not to the table.
+  explicit PageIdCache(size_t num_pages, PageId first_page = 0)
+      : first_(first_page), bits_(num_pages, false) {}
 
   void Mark(PageId page) {
-    SMOOTHSCAN_CHECK(page < bits_.size());
-    if (!bits_[page]) {
-      bits_[page] = true;
+    SMOOTHSCAN_CHECK(page >= first_ && page - first_ < bits_.size());
+    if (!bits_[page - first_]) {
+      bits_[page - first_] = true;
       ++count_;
     }
   }
 
   bool IsMarked(PageId page) const {
-    SMOOTHSCAN_CHECK(page < bits_.size());
-    return bits_[page];
+    SMOOTHSCAN_CHECK(page >= first_ && page - first_ < bits_.size());
+    return bits_[page - first_];
   }
 
   /// Number of marked pages.
@@ -41,16 +44,16 @@ class PageIdCache {
   size_t SizeBytes() const { return (bits_.size() + 7) / 8; }
 
  private:
+  PageId first_;
   std::vector<bool> bits_;
   uint64_t count_ = 0;
 };
 
-/// The Page ID Cache shared by the workers of a parallel Smooth Scan: the
-/// same one-bit-per-page bitmap, packed into atomic words so concurrent
-/// marking is race-free. Morsel workers own disjoint page ranges, so relaxed
-/// ordering suffices — the bitmap is shared state, but no bit is contended;
-/// this is what keeps the parallel scan's behaviour deterministic (see the
-/// README threading-model notes).
+/// The Page ID Cache shared by concurrent queries in shared-SmoothScan mode
+/// (SharedSmoothGroup): the same one-bit-per-page bitmap, packed into atomic
+/// words so concurrent marking is race-free. Relaxed ordering suffices: a
+/// peer's mark only grants a free ride on a page still resident in the shared
+/// pool, never a result.
 class ConcurrentPageIdCache {
  public:
   explicit ConcurrentPageIdCache(size_t num_pages)

@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "access/index_scan.h"
-#include "access/page_id_cache.h"
-#include "access/tuple_id_cache.h"
 #include "index/bplus_tree.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace smoothscan {
@@ -21,15 +18,12 @@ void Accumulate(AccessPathStats* into, const AccessPathStats& from) {
   into->heap_pages_probed += from.heap_pages_probed;
 }
 
-/// Rounds the morsel size down to a multiple of the read-ahead window (and up
-/// to at least one window), so parallel extent requests coincide with the
-/// serial scan's.
+}  // namespace
+
 uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead) {
   if (morsel_pages <= read_ahead) return read_ahead;
   return morsel_pages - morsel_pages % read_ahead;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ParallelScan
@@ -108,7 +102,7 @@ Status ParallelScan::OpenImpl() {
 
   // Observability bind before Plan, mirroring the serial operators'
   // resolve-at-Open (the engine SetObs()s the path before Open).
-  kernel_->BindObs(obs() != nullptr ? obs()->metrics : nullptr);
+  kernel_->BindObs(obs());
 
   // Serial prolog on the planning stream. Workers are not running yet, so the
   // prolog emits into slot 0 without locking concerns.
@@ -148,15 +142,16 @@ Status ParallelScan::OpenImpl() {
   const uint32_t pullers =
       std::min<uint32_t>(options_.dop, static_cast<uint32_t>(source_->size()));
   tasks.reserve(pullers);
+  obs::TraceCollector* const trace = obs() != nullptr ? obs()->trace : nullptr;
+  const uint64_t query_id = obs() != nullptr ? obs()->query_id : 0;
   for (uint32_t t = 0; t < pullers; ++t) {
-    tasks.push_back([this] {
+    tasks.push_back([this, trace, query_id] {
       Morsel m;
       while (source_->Next(&m)) {
         MorselContext& mc = *contexts_[m.index];
         // Worker-ring span around the morsel; the index payload lets a
         // Perfetto view line morsels up against the queue they drained from.
-        obs::TraceSpan morsel_span(options_.trace, options_.trace_query_id,
-                                   "morsel", "morsel_index",
+        obs::TraceSpan morsel_span(trace, query_id, "morsel", "morsel_index",
                                    static_cast<int64_t>(m.index));
         morsel_stats_[m.index] = kernel_->RunMorsel(
             m, mc.ctx(),
@@ -266,6 +261,19 @@ void ParallelScan::CloseImpl() {
   source_.reset();
 }
 
+AccessPathStats ParallelScanKernel::Drain(AccessPath& scan,
+                                          const ExecContext& ctx,
+                                          const EmitFn& emit) {
+  scan.SetExecContext(&ctx);
+  SMOOTHSCAN_CHECK(scan.Open().ok());
+  PooledBatch batch = ctx.batch_pool->Acquire();
+  while (scan.NextBatch(batch.get())) {
+    emit(std::move(batch));
+    batch = ctx.batch_pool->Acquire();
+  }
+  return scan.stats();
+}
+
 // ---------------------------------------------------------------------------
 // FullScan kernel: page-range morsels, streams seeded at page_begin - 1.
 // ---------------------------------------------------------------------------
@@ -301,14 +309,7 @@ class ParallelFullScanKernel : public ParallelScanKernel {
     options.page_begin = m.page_begin;
     options.page_end = m.page_end;
     FullScan scan(heap_, predicate_, options);
-    scan.SetExecContext(&ctx);
-    SMOOTHSCAN_CHECK(scan.Open().ok());
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    while (scan.NextBatch(batch.get())) {
-      emit(std::move(batch));
-      batch = ctx.batch_pool->Acquire();
-    }
-    const AccessPathStats stats = scan.stats();
+    const AccessPathStats stats = Drain(scan, ctx, emit);
     scan.Close();
     return stats;
   }
@@ -346,14 +347,7 @@ class ParallelIndexScanKernel : public ParallelScanKernel {
     predicate.lo = m.key_lo;
     predicate.hi = m.key_hi;
     IndexScan scan(index_, std::move(predicate));
-    scan.SetExecContext(&ctx);
-    SMOOTHSCAN_CHECK(scan.Open().ok());
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    while (scan.NextBatch(batch.get())) {
-      emit(std::move(batch));
-      batch = ctx.batch_pool->Acquire();
-    }
-    const AccessPathStats stats = scan.stats();
+    const AccessPathStats stats = Drain(scan, ctx, emit);
     scan.Close();
     return stats;
   }
@@ -365,8 +359,9 @@ class ParallelIndexScanKernel : public ParallelScanKernel {
 };
 
 // ---------------------------------------------------------------------------
-// SortScan kernel: serial leaf walk + TID sort in the prolog, page-range
-// morsels over the sorted-TID array for the nearly sequential heap phase.
+// SortScan kernel: the serial leaf walk + TID sort in the prolog, page-range
+// morsels over the sorted-TID array, each running the serial heap phase
+// (FetchSortedTids) over its slice.
 // ---------------------------------------------------------------------------
 
 class ParallelSortScanKernel : public ParallelScanKernel {
@@ -381,14 +376,7 @@ class ParallelSortScanKernel : public ParallelScanKernel {
 
   std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn&,
                            AccessPathStats*) override {
-    tids_.clear();
-    for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &planning);
-         it.Valid() && it.key() < predicate_.hi; it.Next()) {
-      tids_.push_back(it.tid());
-    }
-    planning.cpu->ChargeSort(tids_.size());
-    std::sort(tids_.begin(), tids_.end());
-
+    tids_ = CollectSortedTids(index_, predicate_, planning);
     // One morsel per populated page-range bucket; each morsel's span of the
     // sorted array is fixed here, so workers touch disjoint read-only slices.
     std::vector<Morsel> morsels;
@@ -414,37 +402,18 @@ class ParallelSortScanKernel : public ParallelScanKernel {
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
     AccessPathStats stats;
-    const HeapFile* heap = index_->heap();
-    const auto [begin, end] = spans_[m.index];
     PooledBatch batch = ctx.batch_pool->Acquire();
-    uint64_t inspected = 0;
-    uint64_t produced = 0;
-    size_t i = begin;
-    while (i < end) {
-      // The serial phase 3's extent coalescing, applied to the morsel's span.
-      const SortScanExtent extent = CoalesceSortedTidExtent(tids_, i, end);
-      const size_t j = extent.last_entry;
-      ctx.pool->FetchExtent(heap->file_id(), tids_[i].page_id,
-                            extent.num_pages);
-      stats.heap_pages_probed += extent.num_pages;
-      for (size_t k = i; k <= j; ++k) {
-        Tuple tuple = heap->Read(tids_[k], ctx);  // Resident: pool hit.
-        ++inspected;
-        if (predicate_.residual && !predicate_.residual(tuple)) continue;
-        ++produced;
-        batch->Append(std::move(tuple));
-        if (batch->full()) {
-          emit(std::move(batch));
-          batch = ctx.batch_pool->Acquire();
-        }
-      }
-      i = j + 1;
-    }
+    const auto [begin, end] = spans_[m.index];
+    stats.tuples_produced = FetchSortedTids(
+        index_->heap(), predicate_, tids_, begin, end, ctx, &stats,
+        [&](Tid, Tuple&& tuple) {
+          batch->Append(std::move(tuple));
+          if (batch->full()) {
+            emit(std::move(batch));
+            batch = ctx.batch_pool->Acquire();
+          }
+        });
     emit(std::move(batch));
-    stats.tuples_inspected = inspected;
-    stats.tuples_produced = produced;
-    ctx.cpu->ChargeInspect(inspected);
-    ctx.cpu->ChargeProduce(produced);
     return stats;
   }
 
@@ -458,9 +427,10 @@ class ParallelSortScanKernel : public ParallelScanKernel {
 
 // ---------------------------------------------------------------------------
 // SwitchScan kernel: the index phase is inherently serial (the switch fires
-// on the *global* produced cardinality), so it runs in the prolog; if the
-// switch fires, the post-switch full scan is parallelized over page-range
-// morsels, all sharing the read-only Tuple ID Cache built before the switch.
+// on the *global* produced cardinality), so the prolog drives a serial
+// SwitchScan with an empty post-switch range; if the switch fires, each
+// page-range morsel resumes the post-switch full scan over its range, all
+// against the prolog's frozen Tuple ID Cache.
 // ---------------------------------------------------------------------------
 
 class ParallelSwitchScanKernel : public ParallelScanKernel {
@@ -478,105 +448,25 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
 
   std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn& emit,
                            AccessPathStats* stats) override {
-    produced_.Clear();
-    bool switched = false;
-    const HeapFile* heap = index_->heap();
-    PooledBatch batch = planning.batch_pool->Acquire();
-    uint64_t inspected = 0;
-    uint64_t produced = 0;
-    uint64_t cache_ops = 0;
-    BPlusTree::Iterator it = index_->Seek(predicate_.lo, &planning);
-    while (it.Valid() && it.key() < predicate_.hi) {
-      const Tid tid = it.tid();
-      Tuple tuple = heap->Read(tid, planning);
-      ++stats->heap_pages_probed;
-      ++inspected;
-      if (predicate_.residual && !predicate_.residual(tuple)) {
-        it.Next();
-        continue;
-      }
-      if (produced >= scan_options_.estimated_cardinality) {
-        switched = true;  // Estimate violated: abandon the index.
-        break;
-      }
-      it.Next();
-      produced_.Insert(tid);
-      ++cache_ops;
-      ++produced;
-      batch->Append(std::move(tuple));
-      if (batch->full()) {
-        emit(std::move(batch));
-        batch = planning.batch_pool->Acquire();
-      }
-    }
-    emit(std::move(batch));
-    stats->tuples_inspected += inspected;
-    stats->tuples_produced += produced;
-    planning.cpu->ChargeInspect(inspected);
-    planning.cpu->ChargeCacheOp(cache_ops);
-    planning.cpu->ChargeProduce(produced);
+    SwitchScan prolog(index_, predicate_, scan_options_, 0, 0, nullptr);
+    *stats = Drain(prolog, planning, emit);
+    produced_ = prolog.TakeProduced();
+    const bool switched = prolog.switched();
+    prolog.Close();
     if (!switched) return {};
     return MorselSource::PageRanges(
-        static_cast<PageId>(heap->num_pages()), morsel_pages_);
+        static_cast<PageId>(index_->heap()->num_pages()), morsel_pages_);
   }
 
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
-    AccessPathStats stats;
-    const HeapFile* heap = index_->heap();
-    const Schema& schema = heap->schema();
     if (m.page_begin > 0) {
-      ctx.disk->SeedPosition(heap->file_id(), m.page_begin - 1);
+      ctx.disk->SeedPosition(index_->heap()->file_id(), m.page_begin - 1);
     }
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    uint64_t inspected = 0;
-    uint64_t produced = 0;
-    uint64_t cache_ops = 0;
-    PageId window_end = m.page_begin;
-    for (PageId pid = m.page_begin; pid < m.page_end; ++pid) {
-      if (pid >= window_end) {
-        const uint32_t window = std::min<uint32_t>(
-            scan_options_.read_ahead_pages, m.page_end - window_end);
-        ctx.pool->FetchExtent(heap->file_id(), window_end, window);
-        window_end += window;
-      }
-      const PageGuard guard = ctx.pool->Pin(heap->file_id(), pid);
-      const Page& page = *guard;
-      ++stats.heap_pages_probed;
-      for (uint16_t s = 0; s < page.num_slots(); ++s) {
-        uint32_t size = 0;
-        const uint8_t* data = page.GetTuple(s, &size);
-        if (data == nullptr) continue;  // Tombstoned slot.
-        ++inspected;
-        const int64_t key =
-            schema.ReadInt64Column(data, size, predicate_.column);
-        if (!predicate_.MatchesKey(key)) continue;
-        Tuple* slot = batch->AppendSlot();
-        schema.DeserializeInto(data, size, slot);
-        if (predicate_.residual && !predicate_.residual(*slot)) {
-          batch->PopLast();
-          continue;
-        }
-        // Suppress tuples already produced pre-switch (read-only lookups:
-        // the cache was frozen when the prolog finished).
-        ++cache_ops;
-        if (produced_.Contains(Tid{pid, s})) {
-          batch->PopLast();
-          continue;
-        }
-        ++produced;
-        if (batch->full()) {
-          emit(std::move(batch));
-          batch = ctx.batch_pool->Acquire();
-        }
-      }
-    }
-    emit(std::move(batch));
-    stats.tuples_inspected = inspected;
-    stats.tuples_produced = produced;
-    ctx.cpu->ChargeInspect(inspected);
-    ctx.cpu->ChargeCacheOp(cache_ops);
-    ctx.cpu->ChargeProduce(produced);
+    SwitchScan scan(index_, predicate_, scan_options_, m.page_begin,
+                    m.page_end, &produced_);
+    const AccessPathStats stats = Drain(scan, ctx, emit);
+    scan.Close();
     return stats;
   }
 
@@ -585,47 +475,31 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
   ScanPredicate predicate_;
   SwitchScanOptions scan_options_;
   uint32_t morsel_pages_;
-  TupleIdCache produced_;
+  TupleIdCache produced_;  ///< Frozen once Plan() returns.
 };
 
 // ---------------------------------------------------------------------------
 // SmoothScan kernel: page-range morsels; the prolog buckets the index entries
-// by owning morsel, workers morph within their page range. The Page ID Cache
-// is one bitmap shared by all workers under atomics; region-growth decisions
-// use each stream's own selectivity counters (kept in per-morsel
-// SmoothScanStats slots), which is what keeps the policy deterministic — a
-// cross-worker counter read would make region sizes depend on scheduling.
+// by owning morsel, and each morsel runs the serial SmoothScan over its
+// bucket, morphing within its page range. Each morsel's Page ID Cache and
+// policy counters are its own (pages outside the range are never read), so
+// region-growth decisions depend on the morsel partition alone, never on
+// scheduling.
 // ---------------------------------------------------------------------------
 
 class ParallelSmoothScanKernel : public ParallelScanKernel {
  public:
   ParallelSmoothScanKernel(const BPlusTree* index, ScanPredicate predicate,
                            SmoothScanOptions scan_options,
-                           uint32_t morsel_pages, obs::TraceCollector* trace,
-                           uint64_t trace_query_id)
+                           uint32_t morsel_pages)
       : index_(index),
         predicate_(std::move(predicate)),
         scan_options_(scan_options),
-        morsel_pages_(morsel_pages),
-        trace_(trace),
-        trace_query_id_(trace_query_id) {}
+        morsel_pages_(morsel_pages) {}
 
   const char* name() const override { return "ParallelSmoothScan"; }
 
-  void BindObs(obs::MetricsRegistry* metrics) override {
-    // Same counter names as the serial operator: the registry aggregates
-    // serial and parallel smooth activity into one smooth.* family. (No
-    // smooth.morph_triggers bump here: the parallel kernel is eager-only, and
-    // eager never fires the deferred trigger — exactly like serial Eager.)
-    c_region_grows_ = nullptr;
-    c_region_shrinks_ = nullptr;
-    c_page_cache_hits_ = nullptr;
-    if (metrics != nullptr) {
-      c_region_grows_ = metrics->counter("smooth.region_grows");
-      c_region_shrinks_ = metrics->counter("smooth.region_shrinks");
-      c_page_cache_hits_ = metrics->counter("smooth.page_cache_hits");
-    }
-  }
+  void BindObs(const obs::ObsContext* obs) override { obs_ = obs; }
 
   SmoothScanStats smooth_stats() const override {
     // Morsel-order merge, like Finalize's accounting merge.
@@ -647,10 +521,8 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
 
   std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn&,
                            AccessPathStats*) override {
-    const PageId num_pages = static_cast<PageId>(index_->heap()->num_pages());
-    std::vector<Morsel> morsels =
-        MorselSource::PageRanges(num_pages, morsel_pages_);
-    shared_cache_ = std::make_unique<ConcurrentPageIdCache>(num_pages);
+    std::vector<Morsel> morsels = MorselSource::PageRanges(
+        static_cast<PageId>(index_->heap()->num_pages()), morsel_pages_);
     buckets_.assign(morsels.size(), {});
     sstats_.assign(morsels.size(), SmoothScanStats());
     // The full leaf traversal of the qualifying range (charged once, like the
@@ -664,125 +536,12 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
 
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
-    AccessPathStats stats;
-    SmoothScanStats& ss = sstats_[m.index];
-    const HeapFile* heap = index_->heap();
-    const Schema& schema = heap->schema();
-    uint32_t region_pages = 1;
-    PooledBatch batch = ctx.batch_pool->Acquire();
-
-    for (const Tid target : buckets_[m.index]) {
-      ctx.cpu->ChargeCacheOp();  // Page ID Cache bit check.
-      if (shared_cache_->IsMarked(target.page_id)) {
-        // Target already harvested (the X marks in Fig. 3) — the same skip
-        // the serial operator counts as a page-cache hit.
-        ++ss.page_cache_hits;
-        if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
-        continue;
-      }
-
-      // Fetch the morphing region anchored at the target, clipped to the
-      // morsel's page range, skipping already-harvested pages.
-      const uint32_t want =
-          scan_options_.enable_flattening ? region_pages : 1;
-      const uint32_t count =
-          std::min<uint32_t>(want, m.page_end - target.page_id);
-      for (uint32_t i = 0; i < count;) {
-        if (shared_cache_->IsMarked(target.page_id + i)) {
-          ++i;
-          continue;
-        }
-        uint32_t run = 1;
-        while (i + run < count &&
-               !shared_cache_->IsMarked(target.page_id + i + run)) {
-          ++run;
-        }
-        ctx.pool->FetchExtent(heap->file_id(), target.page_id + i, run);
-        i += run;
-      }
-      ++ss.probes;
-
-      uint64_t inspected = 0;
-      uint64_t produced = 0;
-      uint64_t cache_ops = 0;
-      uint64_t region_pages_seen = 0;
-      uint64_t region_result_pages = 0;
-      for (uint32_t i = 0; i < count; ++i) {
-        const PageId pid = target.page_id + i;
-        // Workers own disjoint page ranges, so this worker is the only
-        // writer of these bits; Mark returns false only for pages this very
-        // morsel harvested already.
-        ++cache_ops;
-        if (!shared_cache_->Mark(pid)) continue;
-        ++stats.heap_pages_probed;
-        ++region_pages_seen;
-        const PageGuard guard = ctx.pool->Pin(heap->file_id(), pid);
-        const Page& page = *guard;
-        bool page_has_result = false;
-        for (uint16_t s = 0; s < page.num_slots(); ++s) {
-          uint32_t size = 0;
-          const uint8_t* data = page.GetTuple(s, &size);
-          if (data == nullptr) continue;  // Tombstoned slot.
-          ++inspected;
-          const int64_t key =
-              schema.ReadInt64Column(data, size, predicate_.column);
-          if (!predicate_.MatchesKey(key)) continue;
-          Tuple tuple = schema.Deserialize(data, size);
-          if (predicate_.residual && !predicate_.residual(tuple)) continue;
-          page_has_result = true;
-          if (count > 1) {
-            ++ss.card_mode2;
-          } else {
-            ++ss.card_mode1;
-          }
-          ++produced;
-          batch->Append(std::move(tuple));
-          if (batch->full()) {
-            emit(std::move(batch));
-            batch = ctx.batch_pool->Acquire();
-          }
-        }
-        if (page_has_result) ++region_result_pages;
-        if (pid != target.page_id) {
-          ++ss.morph_checked_pages;
-          if (page_has_result) ++ss.morph_result_pages;
-        }
-      }
-      stats.tuples_inspected += inspected;
-      stats.tuples_produced += produced;
-      ctx.cpu->ChargeInspect(inspected);
-      ctx.cpu->ChargeProduce(produced);
-      ctx.cpu->ChargeCacheOp(cache_ops);
-      if (scan_options_.enable_flattening) {
-        // Serial policy applied to this stream's own observations (Eqs. 1-2
-        // over the morsel's pages) — deterministic at any DOP.
-        const uint32_t region_before = region_pages;
-        region_pages = MorphRegionStep(
-            scan_options_.policy, region_pages, scan_options_.max_region_pages,
-            ss.pages_seen, ss.pages_with_results, region_pages_seen,
-            region_result_pages, &ss.expansions, &ss.shrinks);
-        // Counter-backed morph metrics at any DOP (previously trace-only
-        // here): one bump per region change, like the serial operator.
-        if (region_pages > region_before) {
-          if (c_region_grows_ != nullptr) c_region_grows_->Add();
-        } else if (region_pages < region_before) {
-          if (c_region_shrinks_ != nullptr) c_region_shrinks_->Add();
-        }
-        if (trace_ != nullptr && region_pages != region_before) {
-          // Morph timeline at any DOP: each worker's instants land on its
-          // own ring. Bookkeeping only — the step above already settled.
-          trace_->Instant(
-              trace_query_id_,
-              region_pages > region_before ? "morph_grow" : "morph_shrink",
-              "region_pages", region_pages, "morsel",
-              static_cast<int64_t>(m.index), nullptr, 0, "policy",
-              MorphPolicyToString(scan_options_.policy));
-        }
-      }
-      ss.pages_seen += region_pages_seen;
-      ss.pages_with_results += region_result_pages;
-    }
-    emit(std::move(batch));
+    SmoothScan scan(index_, predicate_, scan_options_, buckets_[m.index],
+                    m.page_begin, m.page_end);
+    scan.SetObs(obs_);
+    const AccessPathStats stats = Drain(scan, ctx, emit);
+    scan.Close();
+    sstats_[m.index] = scan.smooth_stats();
     return stats;
   }
 
@@ -791,19 +550,9 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
   ScanPredicate predicate_;
   SmoothScanOptions scan_options_;
   uint32_t morsel_pages_;
-  obs::TraceCollector* trace_;
-  uint64_t trace_query_id_;
-
-  // Registry counters (null without a bound registry). Relaxed adds from
-  // worker threads — pure bookkeeping, never policy input.
-  obs::Counter* c_region_grows_ = nullptr;
-  obs::Counter* c_region_shrinks_ = nullptr;
-  obs::Counter* c_page_cache_hits_ = nullptr;
-
-  std::unique_ptr<ConcurrentPageIdCache> shared_cache_;
+  const obs::ObsContext* obs_ = nullptr;
   std::vector<std::vector<Tid>> buckets_;
-  /// Per-morsel operator counters; slot i is written only by morsel i's
-  /// worker and carries that stream's policy inputs (Eqs. 1-2).
+  /// Per-morsel operator counters; slot i is written only by morsel i.
   std::vector<SmoothScanStats> sstats_;
 };
 
@@ -859,17 +608,18 @@ std::unique_ptr<ParallelScan> MakeParallelSwitchScan(
 std::unique_ptr<ParallelScan> MakeParallelSmoothScan(
     const BPlusTree* index, ScanPredicate predicate,
     SmoothScanOptions scan_options, ParallelScanOptions options) {
-  // The pre-trigger Mode 0 phase gates on the *global* produced cardinality
-  // and the Result Cache needs cross-morsel key order; the parallel variant
-  // covers the paper's default Eager + unordered configuration. Everything
-  // else keeps the serial operator (null, per the factory contract).
+  // The pre-trigger Mode 0 phase gates on the *global* produced cardinality,
+  // the Result Cache needs cross-morsel key order, and a shared Page ID Cache
+  // spans the whole table; the parallel variant covers the paper's default
+  // Eager + unordered configuration. Everything else keeps the serial
+  // operator (null, per the factory contract).
   if (scan_options.trigger != MorphTrigger::kEager) return nullptr;
   if (scan_options.preserve_order) return nullptr;
+  if (scan_options.shared_group != nullptr) return nullptr;
   return std::make_unique<ParallelScan>(
       index->heap()->engine(),
       std::make_unique<ParallelSmoothScanKernel>(
-          index, std::move(predicate), scan_options, options.morsel_pages,
-          options.trace, options.trace_query_id),
+          index, std::move(predicate), scan_options, options.morsel_pages),
       options);
 }
 

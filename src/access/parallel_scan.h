@@ -1,13 +1,24 @@
 // ParallelScan: morsel-driven parallel execution of the access paths
 // (Leis et al.'s morsel model adapted to the paper's simulated substrate).
 //
-// A kernel decomposes its scan into a fixed list of morsels — page ranges or
-// key ranges, derived from the data alone, never from the worker count — plus
-// an optional serial prolog (index leaf walks, TID sorts, pre-switch index
-// phases). Workers pull morsels from a shared MorselSource and run each one
-// against a private MorselContext (its own simulated disk, buffer pool and
-// CPU meter: one logical access stream per morsel). Produced batches flow
-// through per-morsel output slots that the consumer drains in morsel order.
+// A kernel is a decomposition, not a second implementation of its path. It
+// splits the scan into a fixed list of morsels — page ranges or key ranges,
+// derived from the data alone, never from the worker count — after an
+// optional serial prolog (index leaf walks, TID sorts, the pre-switch index
+// phase, which runs the serial SwitchScan). Each morsel then runs the serial
+// operator, restricted to the morsel through a constructor only the kernels
+// use, or the phase function that operator shares (SortScan's
+// FetchSortedTids); no kernel has a page or tuple loop of its own, and
+// scripts/lint_invariants.py enforces that. Workers pull morsels from a
+// shared MorselSource and run each one against a private MorselContext (its
+// own simulated disk, buffer pool and CPU meter: one logical access stream
+// per morsel). Produced batches flow through per-morsel output slots that the
+// consumer drains in morsel order.
+//
+// The serial operators are not one-morsel kernel runs: RunMorsel pushes its
+// output and runs to completion, so an inline one-morsel scan would buffer
+// the whole result before its first batch, and ordered output, non-eager
+// Smooth Scan triggers and the shared Page ID Cache exist only serially.
 //
 // Determinism: because the decomposition is DOP-independent and every
 // morsel's accounting is stream-local, the simulated cost of a parallel scan
@@ -86,11 +97,6 @@ struct ParallelScanOptions {
   /// Ablation knob for the owned pool: false reverts to allocate-per-batch
   /// (bench_mem_governance's baseline). No effect on an external pool.
   bool recycle_batches = true;
-  /// Trace collector for per-morsel worker spans ("morsel" B/E on each
-  /// worker's ring, stamped with `trace_query_id`). Null = no tracing.
-  /// Bookkeeping only — never touches morsel accounting.
-  obs::TraceCollector* trace = nullptr;
-  uint64_t trace_query_id = 0;
   /// Registry counters for the owned batch pool (ignored for an external
   /// pool, which carries its own sink in its own options).
   BatchPoolMetricsSink batch_metrics;
@@ -114,10 +120,9 @@ class ParallelScanKernel {
   virtual const char* name() const = 0;
 
   /// Observability bind, called once per Open cycle (before Plan) with the
-  /// owning path's registry — kernels resolve their live counters here, the
-  /// parallel analogue of the serial operators' resolve-at-Open. Bookkeeping
-  /// only; default no-op. `metrics` may be null.
-  virtual void BindObs(obs::MetricsRegistry* metrics) { (void)metrics; }
+  /// owning path's handle, which the kernel may attach to its morsels'
+  /// operators. Bookkeeping only; default no-op. `obs` may be null.
+  virtual void BindObs(const obs::ObsContext* obs) { (void)obs; }
 
   /// The smooth kernel's operator counters, merged over all morsels in
   /// morsel order (valid once the cycle settled — after the consumer drained
@@ -137,10 +142,22 @@ class ParallelScanKernel {
   virtual AccessPathStats RunMorsel(const Morsel& morsel,
                                     const ExecContext& ctx,
                                     const EmitFn& emit) = 0;
+
+ protected:
+  /// Opens `scan` (a serial operator restricted to one morsel) against `ctx`
+  /// and emits its whole stream; returns its stats. The caller closes it.
+  static AccessPathStats Drain(AccessPath& scan, const ExecContext& ctx,
+                               const EmitFn& emit);
 };
 
+/// Rounds a morsel size down to a multiple of the read-ahead window (and up
+/// to at least one window), so parallel extent requests coincide with the
+/// serial scan's.
+uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead);
+
 /// AccessPath adapter running a kernel on a worker pool (see file comment).
-/// Also usable as the source below a Gather exchange operator.
+/// A ScanOp over it is an operator tree's exchange boundary: everything above
+/// consumes the gathered batch stream serially.
 class ParallelScan : public AccessPath {
  public:
   ParallelScan(Engine* engine, std::unique_ptr<ParallelScanKernel> kernel,

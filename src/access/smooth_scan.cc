@@ -77,6 +77,17 @@ SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
   SMOOTHSCAN_CHECK(options_.max_region_pages >= 1);
 }
 
+SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
+                       SmoothScanOptions options, const std::vector<Tid>& tids,
+                       PageId page_begin, PageId page_end)
+    : SmoothScan(index, std::move(predicate), std::move(options)) {
+  SMOOTHSCAN_CHECK(options_.trigger == MorphTrigger::kEager &&
+                   !options_.preserve_order && !options_.shared_group);
+  morsel_tids_ = &tids;
+  page_begin_ = page_begin;
+  page_end_ = page_end;
+}
+
 ExecContext SmoothScan::DefaultContext() const {
   return EngineContext(index_->heap()->engine());
 }
@@ -88,7 +99,12 @@ Status SmoothScan::OpenImpl() {
   region_pages_ = 1;
   tuple_cache_.reset();
   result_cache_.reset();
-  page_cache_ = std::make_unique<PageIdCache>(index_->heap()->num_pages());
+  if (morsel_tids_ == nullptr) {
+    page_end_ = static_cast<PageId>(index_->heap()->num_pages());
+  }
+  page_cache_ =
+      std::make_unique<PageIdCache>(page_end_ - page_begin_, page_begin_);
+  next_tid_ = 0;
 
   cache_skip_run_ = 0;
   c_morph_triggers_ = nullptr;
@@ -97,7 +113,11 @@ Status SmoothScan::OpenImpl() {
   c_page_cache_hits_ = nullptr;
   if (obs() != nullptr && obs()->metrics != nullptr) {
     obs::MetricsRegistry* m = obs()->metrics;
-    c_morph_triggers_ = m->counter("smooth.morph_triggers");
+    // Only a deferred trigger can fire: eager scans (every parallel morsel
+    // among them) leave the counter unregistered.
+    if (options_.trigger != MorphTrigger::kEager) {
+      c_morph_triggers_ = m->counter("smooth.morph_triggers");
+    }
     c_region_grows_ = m->counter("smooth.region_grows");
     c_region_shrinks_ = m->counter("smooth.region_shrinks");
     c_page_cache_hits_ = m->counter("smooth.page_cache_hits");
@@ -145,7 +165,9 @@ Status SmoothScan::OpenImpl() {
   obs::EmitInstant(obs(), "smooth_open", "max_region_pages",
                    options_.max_region_pages, nullptr, 0, nullptr, 0, "policy",
                    MorphPolicyToString(active_policy_));
-  it_ = index_->Seek(predicate_.lo, &ctx());
+  // A morsel's entries were collected (and the traversal charged) by the
+  // parallel kernel's prolog.
+  if (morsel_tids_ == nullptr) it_ = index_->Seek(predicate_.lo, &ctx());
   // A zero pre-trigger bound (e.g. an optimizer estimate of 0 tuples) means
   // the very first tuple already violates it: morph immediately.
   MaybeTrigger();
@@ -259,10 +281,9 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
   const Schema& schema = heap->schema();
-  const PageId num_pages = static_cast<PageId>(heap->num_pages());
 
   const uint32_t want = options_.enable_flattening ? region_pages_ : 1;
-  const uint32_t count = std::min<uint32_t>(want, num_pages - target);
+  const uint32_t count = std::min<uint32_t>(want, page_end_ - target);
   // Fetch only the pages of the region that were not processed before
   // ("pages processed in Mode 1 are skipped in Mode 2"), coalescing
   // contiguous unprocessed pages into single extent requests. In the
@@ -390,6 +411,23 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   sstats_.pages_with_results += region_result_pages;
 }
 
+bool SmoothScan::HasEntry() const {
+  if (morsel_tids_ != nullptr) return next_tid_ < morsel_tids_->size();
+  return it_->Valid() && it_->key() < predicate_.hi;
+}
+
+Tid SmoothScan::EntryTid() const {
+  return morsel_tids_ != nullptr ? (*morsel_tids_)[next_tid_] : it_->tid();
+}
+
+void SmoothScan::NextEntry() {
+  if (morsel_tids_ != nullptr) {
+    ++next_tid_;
+  } else {
+    it_->Next();
+  }
+}
+
 void SmoothScan::NextUnordered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   while (!out->full()) {
@@ -404,23 +442,23 @@ void SmoothScan::NextUnordered(TupleBatch* out) {
       }
       continue;
     }
-    if (!it_->Valid() || it_->key() >= predicate_.hi) return;
+    if (!HasEntry()) return;
     if (!morphing_) {
       Mode0Step(out);
       continue;
     }
-    const Tid tid = it_->tid();
+    const Tid tid = EntryTid();
     ctx.cpu->ChargeCacheOp();  // Page ID Cache bit check.
     if (page_cache_->IsMarked(tid.page_id)) {
       ++sstats_.page_cache_hits;
       if (c_page_cache_hits_ != nullptr) c_page_cache_hits_->Add();
       ++cache_skip_run_;
-      it_->Next();  // Skip the leaf pointer (the X marks in Fig. 3).
+      NextEntry();  // Skip the leaf pointer (the X marks in Fig. 3).
       continue;
     }
     FlushCacheSkipRun();
     FetchRegionAndHarvest(tid.page_id, out);
-    it_->Next();
+    NextEntry();
   }
 }
 

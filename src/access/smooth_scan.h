@@ -77,11 +77,10 @@ struct SharedSmoothGroup {
   FileId file;
 };
 
-/// One region-growth policy step (Section III-B), shared by the serial scan
-/// and the parallel morsel kernel. Compares the finished region's local
-/// selectivity (Eq. 1) against the global selectivity of the pages seen
-/// *before* it (Eq. 2) and returns the next region size, counting the
-/// expansion/shrink into the provided counters.
+/// One region-growth policy step (Section III-B). Compares the finished
+/// region's local selectivity (Eq. 1) against the global selectivity of the
+/// pages seen *before* it (Eq. 2) and returns the next region size, counting
+/// the expansion/shrink into the provided counters.
 uint32_t MorphRegionStep(MorphPolicy policy, uint32_t region_pages,
                          uint32_t max_region_pages, uint64_t pages_seen_before,
                          uint64_t pages_with_results_before,
@@ -179,6 +178,16 @@ class SmoothScan : public AccessPath {
   SmoothScan(const BPlusTree* index, ScanPredicate predicate,
              SmoothScanOptions options = SmoothScanOptions());
 
+  /// Morsel restriction, for the parallel kernel: the scan visits `tids`
+  /// (the index entries targeting heap pages [page_begin, page_end), in index
+  /// order, already collected by the kernel's leaf walk) instead of walking
+  /// the index, clips morphing regions at `page_end` and sizes its Page ID
+  /// Cache to the range. Eager, unordered and unshared configurations only.
+  /// `tids` must outlive the open cycle.
+  SmoothScan(const BPlusTree* index, ScanPredicate predicate,
+             SmoothScanOptions options, const std::vector<Tid>& tids,
+             PageId page_begin, PageId page_end);
+
   const char* name() const override { return "SmoothScan"; }
 
   const SmoothScanOptions& options() const { return options_; }
@@ -205,6 +214,10 @@ class SmoothScan : public AccessPath {
   /// into the Result Cache instead).
   void FetchRegionAndHarvest(PageId target, TupleBatch* out);
   void UpdatePolicy(uint64_t region_pages, uint64_t region_result_pages);
+  /// Index-entry cursor over the index iterator, or over the morsel's TIDs.
+  bool HasEntry() const;
+  Tid EntryTid() const;
+  void NextEntry();
 
   /// Observed global selectivity so far (Eq. 2), in parts per million — the
   /// integer payload the morph trace instants carry.
@@ -228,6 +241,11 @@ class SmoothScan : public AccessPath {
   Tid m0_last_tid_{};
 
   std::optional<BPlusTree::Iterator> it_;
+  // Morsel restriction (null tids: the whole table, walked via `it_`).
+  const std::vector<Tid>* morsel_tids_ = nullptr;
+  size_t next_tid_ = 0;
+  PageId page_begin_ = 0;
+  PageId page_end_ = 0;
   std::unique_ptr<PageIdCache> page_cache_;
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;

@@ -4,25 +4,52 @@
 
 namespace smoothscan {
 
-SortScanExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids, size_t i,
-                                       size_t end) {
-  SortScanExtent extent;
-  size_t j = i;
-  const PageId first_page = tids[i].page_id;
-  PageId last_page = first_page;
-  extent.num_pages = 1;
-  while (j + 1 < end &&
-         (tids[j + 1].page_id == last_page ||
-          tids[j + 1].page_id == last_page + 1) &&
-         tids[j + 1].page_id - first_page < kSortScanChunkPages) {
-    if (tids[j + 1].page_id == last_page + 1) {
-      ++extent.num_pages;
-      last_page = tids[j + 1].page_id;
-    }
-    ++j;
+std::vector<Tid> CollectSortedTids(const BPlusTree* index,
+                                   const ScanPredicate& predicate,
+                                   const ExecContext& ctx) {
+  std::vector<Tid> tids;
+  for (BPlusTree::Iterator it = index->Seek(predicate.lo, &ctx);
+       it.Valid() && it.key() < predicate.hi; it.Next()) {
+    tids.push_back(it.tid());
   }
-  extent.last_entry = j;
-  return extent;
+  ctx.cpu->ChargeSort(tids.size());
+  std::sort(tids.begin(), tids.end());
+  return tids;
+}
+
+uint64_t FetchSortedTids(const HeapFile* heap, const ScanPredicate& predicate,
+                         const std::vector<Tid>& tids, size_t begin,
+                         size_t end, const ExecContext& ctx,
+                         AccessPathStats* stats, const SortedTidSink& sink) {
+  uint64_t inspected = 0;
+  uint64_t produced = 0;
+  size_t i = begin;
+  while (i < end) {
+    // Entries targeting the same or the next page share one extent request
+    // ("easily detected by disk prefetchers"), capped at kSortScanChunkPages.
+    const PageId first_page = tids[i].page_id;
+    PageId last_page = first_page;
+    size_t j = i;
+    while (j + 1 < end && tids[j + 1].page_id <= last_page + 1 &&
+           tids[j + 1].page_id - first_page < kSortScanChunkPages) {
+      last_page = tids[++j].page_id;
+    }
+    const uint32_t num_pages = last_page - first_page + 1;
+    ctx.pool->FetchExtent(heap->file_id(), first_page, num_pages);
+    stats->heap_pages_probed += num_pages;
+    for (size_t k = i; k <= j; ++k) {
+      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
+      ++inspected;
+      if (predicate.residual && !predicate.residual(tuple)) continue;
+      ++produced;
+      sink(tids[k], std::move(tuple));
+    }
+    i = j + 1;
+  }
+  stats->tuples_inspected += inspected;
+  ctx.cpu->ChargeInspect(inspected);
+  ctx.cpu->ChargeProduce(produced);
+  return produced;
 }
 
 SortScan::SortScan(const BPlusTree* index, ScanPredicate predicate,
@@ -42,49 +69,22 @@ Status SortScan::OpenImpl() {
   next_result_ = 0;
   pages_fetched_ = 0;
 
-  // Phase 1: harvest qualifying TIDs from the index leaves.
-  std::vector<Tid> tids;
-  for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &ctx);
-       it.Valid() && it.key() < predicate_.hi; it.Next()) {
-    tids.push_back(it.tid());
-  }
+  // Phases 1-2: index leaves, then the blocking TID sort.
+  const std::vector<Tid> tids = CollectSortedTids(index_, predicate_, ctx);
 
-  // Phase 2: sort TIDs in heap order — the blocking pre-sort.
-  ctx.cpu->ChargeSort(tids.size());
-  std::sort(tids.begin(), tids.end());
-
-  // Phase 3: fetch the result pages, coalescing consecutive page ids into
-  // single extent requests ("easily detected by disk prefetchers").
+  // Phase 3: fetch the result pages in heap order.
   struct KeyedTuple {
     int64_t key;
     Tid tid;
     Tuple tuple;
   };
   std::vector<KeyedTuple> keyed;
-  uint64_t inspected = 0;
-  uint64_t produced = 0;
-  size_t i = 0;
-  while (i < tids.size()) {
-    // Extent of consecutive distinct pages starting at tids[i].
-    const SortScanExtent extent =
-        CoalesceSortedTidExtent(tids, i, tids.size());
-    const size_t j = extent.last_entry;
-    ctx.pool->FetchExtent(heap->file_id(), tids[i].page_id, extent.num_pages);
-    pages_fetched_ += extent.num_pages;
-    stats_.heap_pages_probed += extent.num_pages;
-    for (size_t k = i; k <= j; ++k) {
-      Tuple tuple = heap->Read(tids[k], ctx);  // Resident: buffer-pool hit.
-      ++inspected;
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
-      ++produced;
-      keyed.push_back(
-          {tuple[predicate_.column].AsInt64(), tids[k], std::move(tuple)});
-    }
-    i = j + 1;
-  }
-  stats_.tuples_inspected += inspected;
-  ctx.cpu->ChargeInspect(inspected);
-  ctx.cpu->ChargeProduce(produced);
+  FetchSortedTids(heap, predicate_, tids, 0, tids.size(), ctx, &stats_,
+                  [&](Tid tid, Tuple&& tuple) {
+                    const int64_t key = tuple[predicate_.column].AsInt64();
+                    keyed.push_back({key, tid, std::move(tuple)});
+                  });
+  pages_fetched_ = stats_.heap_pages_probed;
 
   // Phase 4 (optional): posterior sort restoring the interesting order.
   if (options_.preserve_order) {

@@ -8,6 +8,7 @@
 #ifndef SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 #define SMOOTHSCAN_ACCESS_SORT_SCAN_H_
 
+#include <functional>
 #include <vector>
 
 #include "access/access_path.h"
@@ -24,19 +25,26 @@ struct SortScanOptions {
 
 /// Extent-coalescing cap of the sorted-TID heap phase: chunks stay well below
 /// the buffer-pool capacity so a long run of consecutive result pages is
-/// consumed before any of it is evicted. Shared by the serial phase 3 and the
-/// parallel SortScan kernel so the two cannot silently diverge.
+/// consumed before any of it is evicted. The parallel SortScan kernel aligns
+/// its morsels to it.
 inline constexpr uint32_t kSortScanChunkPages = 64;
 
-/// Coalesced extent starting at `tids[i]` within `tids[i, end)` (page-sorted):
-/// entries sharing one physical request because each targets the same or the
-/// next page, capped at kSortScanChunkPages.
-struct SortScanExtent {
-  size_t last_entry = 0;    ///< Last entry index covered (inclusive).
-  uint32_t num_pages = 0;   ///< Distinct pages spanned, from tids[i].page_id.
-};
-SortScanExtent CoalesceSortedTidExtent(const std::vector<Tid>& tids, size_t i,
-                                       size_t end);
+/// Phases 1-2: the qualifying TIDs from the index leaves, sorted into heap
+/// order (the blocking pre-sort), charged to `ctx`.
+std::vector<Tid> CollectSortedTids(const BPlusTree* index,
+                                   const ScanPredicate& predicate,
+                                   const ExecContext& ctx);
+
+/// Phase 3 over the page-sorted tids[begin, end): fetches the result pages
+/// with coalesced extent requests and passes every tuple that survives the
+/// residual predicate to `sink`. Adds the probed pages and inspected tuples
+/// to `stats`, charges `ctx`, and returns the number of tuples passed on.
+/// SortScan runs it over all TIDs, a parallel morsel over its slice.
+using SortedTidSink = std::function<void(Tid, Tuple&&)>;
+uint64_t FetchSortedTids(const HeapFile* heap, const ScanPredicate& predicate,
+                         const std::vector<Tid>& tids, size_t begin,
+                         size_t end, const ExecContext& ctx,
+                         AccessPathStats* stats, const SortedTidSink& sink);
 
 class SortScan : public AccessPath {
  public:

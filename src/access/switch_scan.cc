@@ -10,18 +10,29 @@ SwitchScan::SwitchScan(const BPlusTree* index, ScanPredicate predicate,
   SMOOTHSCAN_CHECK(predicate_.column == index_->key_column());
 }
 
+SwitchScan::SwitchScan(const BPlusTree* index, ScanPredicate predicate,
+                       SwitchScanOptions options, PageId page_begin,
+                       PageId page_end, const TupleIdCache* frozen)
+    : SwitchScan(index, std::move(predicate), options) {
+  page_begin_ = page_begin;
+  page_end_ = page_end;
+  frozen_ = frozen;
+}
+
 ExecContext SwitchScan::DefaultContext() const {
   return EngineContext(index_->heap()->engine());
 }
 
 Status SwitchScan::OpenImpl() {
-  it_ = index_->Seek(predicate_.lo, &ctx());
   produced_.Clear();
-  switched_ = false;
-  cur_page_ = 0;
+  // A morsel resumes after the prolog's switch: no index phase, no descent.
+  switched_ = frozen_ != nullptr;
+  if (!switched_) it_ = index_->Seek(predicate_.lo, &ctx());
+  cur_page_ = page_begin_;
   cur_slot_ = 0;
-  window_end_ = 0;
-  num_pages_ = static_cast<PageId>(index_->heap()->num_pages());
+  window_end_ = page_begin_;
+  num_pages_ = std::min(page_end_,
+                        static_cast<PageId>(index_->heap()->num_pages()));
   return Status::OK();
 }
 
@@ -70,6 +81,8 @@ void SwitchScan::FullScanPhase(TupleBatch* out) {
   const HeapFile* heap = index_->heap();
   const ExecContext& ctx = this->ctx();
   const Schema& schema = heap->schema();
+  const TupleIdCache& produced_before =
+      frozen_ != nullptr ? *frozen_ : produced_;
   uint64_t inspected = 0;
   uint64_t produced = 0;
   uint64_t cache_ops = 0;
@@ -101,7 +114,7 @@ void SwitchScan::FullScanPhase(TupleBatch* out) {
       }
       // Suppress tuples already produced by the index phase.
       ++cache_ops;
-      if (produced_.Contains(Tid{cur_page_, s})) {
+      if (produced_before.Contains(Tid{cur_page_, s})) {
         out->PopLast();
         continue;
       }

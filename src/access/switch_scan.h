@@ -9,6 +9,7 @@
 #define SMOOTHSCAN_ACCESS_SWITCH_SCAN_H_
 
 #include <optional>
+#include <utility>
 
 #include "access/access_path.h"
 #include "access/tuple_id_cache.h"
@@ -29,9 +30,23 @@ class SwitchScan : public AccessPath {
   SwitchScan(const BPlusTree* index, ScanPredicate predicate,
              SwitchScanOptions options);
 
+  /// Morsel restriction, for the parallel kernel: the post-switch full scan
+  /// covers heap pages [page_begin, page_end) only. With `frozen` null the
+  /// scan starts in the index phase (the kernel's prolog, over an empty
+  /// range); otherwise it starts switched and suppresses the tuples recorded
+  /// in `frozen`, the prolog's Tuple ID Cache, which must outlive the open
+  /// cycle.
+  SwitchScan(const BPlusTree* index, ScanPredicate predicate,
+             SwitchScanOptions options, PageId page_begin, PageId page_end,
+             const TupleIdCache* frozen);
+
   const char* name() const override { return "SwitchScan"; }
 
   bool switched() const { return switched_; }
+
+  /// Moves out the index phase's Tuple ID Cache (the parallel kernel freezes
+  /// it for its morsels). Call at end of stream, before Close().
+  TupleIdCache TakeProduced() { return std::move(produced_); }
 
  protected:
   Status OpenImpl() override;
@@ -53,6 +68,11 @@ class SwitchScan : public AccessPath {
   std::optional<BPlusTree::Iterator> it_;
   TupleIdCache produced_;
   bool switched_ = false;
+  // Morsel restriction (see the morsel constructor); an unrestricted scan
+  // ends at the heap's page count and dedups against its own `produced_`.
+  PageId page_begin_ = 0;
+  PageId page_end_ = kInvalidPageId;
+  const TupleIdCache* frozen_ = nullptr;
 
   // Full-scan cursor (see FullScan).
   PageId cur_page_ = 0;

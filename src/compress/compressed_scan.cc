@@ -282,14 +282,6 @@ uint64_t CompressedCountRange(const CompressedExtentRef& extent, int64_t lo,
 
 namespace {
 
-/// Rounds the morsel size down to a multiple of the read-ahead window (and up
-/// to at least one window) — same policy as the heap kernels, so extent
-/// requests coincide with the serial compressed scan's.
-uint32_t AlignToWindow(uint32_t morsel_pages, uint32_t read_ahead) {
-  if (morsel_pages <= read_ahead) return read_ahead;
-  return morsel_pages - morsel_pages % read_ahead;
-}
-
 class ParallelCompressedScanKernel : public ParallelScanKernel {
  public:
   ParallelCompressedScanKernel(Engine* engine, CompressedExtentRef extent,
@@ -301,7 +293,7 @@ class ParallelCompressedScanKernel : public ParallelScanKernel {
         predicate_(std::move(predicate)),
         scan_options_(scan_options),
         morsel_pages_(
-            AlignToWindow(morsel_pages, scan_options.read_ahead_pages)) {}
+            AlignMorselPages(morsel_pages, scan_options.read_ahead_pages)) {}
 
   const char* name() const override { return "ParallelCompressedScan"; }
 
@@ -327,15 +319,9 @@ class ParallelCompressedScanKernel : public ParallelScanKernel {
     opts.page_begin = m.page_begin;
     opts.page_end = m.page_end;
     CompressedScan scan(engine_, extent_, predicate_, opts);
-    scan.SetExecContext(&ctx);
-    SMOOTHSCAN_CHECK(scan.Open().ok());
-    PooledBatch batch = ctx.batch_pool->Acquire();
-    while (scan.NextBatch(batch.get())) {
-      emit(std::move(batch));
-      batch = ctx.batch_pool->Acquire();
-    }
+    const AccessPathStats stats = Drain(scan, ctx, emit);
     scan.Close();
-    return scan.stats();
+    return stats;
   }
 
  private:

@@ -579,6 +579,22 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   QueryMemoryScope mem_scope(options_.broker, options_.query_quota_bytes);
   qctx.SetMemScope(&mem_scope);
 
+  // The morsel-parallel paths' options (used when spec.dop >= 1): they
+  // settle into the query's private stack and draw batches from its memory
+  // account; tracing rides on the path's SetObs below.
+  ParallelScanOptions po;
+  po.dop = spec.dop;
+  po.scheduler = options_.scheduler;
+  po.account_disk = &qctx.disk();
+  po.account_cpu = &qctx.cpu();
+  po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
+  po.mem = &mem_scope;
+  po.batch_metrics.acquires = c_bpool_acquires_;
+  po.batch_metrics.reuses = c_bpool_reuses_;
+  po.batch_metrics.releases = c_bpool_releases_;
+  po.batch_metrics.sheds = c_bpool_sheds_;
+  po.pool_metrics = bp_sink_;
+
   const FileId table = spec.index->heap()->file_id();
   bool shared_run = kind == PathKind::kSharedScan;
   std::unique_ptr<AccessPath> path;
@@ -591,20 +607,6 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     ++running_shared_[table];
   } else if (kind == PathKind::kCompressedScan) {
     if (spec.dop >= 1) {
-      ParallelScanOptions po;
-      po.dop = spec.dop;
-      po.scheduler = options_.scheduler;
-      po.account_disk = &qctx.disk();
-      po.account_cpu = &qctx.cpu();
-      po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
-      po.mem = &mem_scope;
-      po.trace = options_.tracing;
-      po.trace_query_id = id;
-      po.batch_metrics.acquires = c_bpool_acquires_;
-      po.batch_metrics.reuses = c_bpool_reuses_;
-      po.batch_metrics.releases = c_bpool_releases_;
-      po.batch_metrics.sheds = c_bpool_sheds_;
-      po.pool_metrics = bp_sink_;
       path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
                                         CompressedScanOptions(), po);
       m.parallel = path != nullptr;
@@ -636,20 +638,6 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
     path->SetExecContext(&qctx.ctx());
   }
   if (path == nullptr && spec.dop >= 1) {
-    ParallelScanOptions po;
-    po.dop = spec.dop;
-    po.scheduler = options_.scheduler;
-    po.account_disk = &qctx.disk();
-    po.account_cpu = &qctx.cpu();
-    po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
-    po.mem = &mem_scope;
-    po.trace = options_.tracing;
-    po.trace_query_id = id;
-    po.batch_metrics.acquires = c_bpool_acquires_;
-    po.batch_metrics.reuses = c_bpool_reuses_;
-    po.batch_metrics.releases = c_bpool_releases_;
-    po.batch_metrics.sheds = c_bpool_sheds_;
-    po.pool_metrics = bp_sink_;
     path = MakeParallelPath(kind, spec.index, spec.predicate, spec.need_order,
                             estimate, po);
     m.parallel = path != nullptr;

@@ -8,7 +8,7 @@
 // bit-identical to a solo cold run at any admission level.
 //
 // Control plane vs. data plane:
-//   * Submit() appends the query to a submission queue with two lanes —
+//   * SubmitSpec() appends the query to a submission queue with two lanes —
 //     a FIFO batch lane and an SLA lane that jumps it (admission-level
 //     priority, the workload analogue of the paper's SLA-driven trigger).
 //   * Admission control caps the number of *concurrently admitted* queries:
@@ -323,23 +323,6 @@ class QueryEngine {
   /// records are reclaimed by WaitSpec() alone — a fire-and-forget caller
   /// that only ever drains should still wait each id, or records accumulate.
   void DrainAll() EXCLUDES(mu_);
-
-  // Deprecated shims for the pre-Session surface. Out-of-tree callers get a
-  // pointed compile-time message; in-tree code has been ported.
-  [[deprecated(
-      "raw QuerySpec submission is internal now: open a Session and use "
-      "Session::Query() (engine/session.h), or SubmitSpec if you really "
-      "need the spec surface")]]
-  QueryId Submit(QuerySpec spec) {
-    return SubmitSpec(std::move(spec));
-  }
-  [[deprecated("use QueryHandle::Wait() via Session (engine/session.h), or "
-               "WaitSpec")]]
-  QueryResult Wait(QueryId id) {
-    return WaitSpec(id);
-  }
-  [[deprecated("use DrainAll (or per-handle Wait via Session)")]]
-  void Drain() { DrainAll(); }
 
   // Observability (values are instantaneous snapshots).
   size_t queue_depth() const EXCLUDES(mu_);

@@ -12,12 +12,14 @@
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "access/full_scan.h"
+#include "access/index_scan.h"
 #include "access/page_id_cache.h"
 #include "access/parallel_scan.h"
 #include "common/rng.h"
-#include "exec/gather.h"
 #include "exec/operators.h"
 #include "exec/task_scheduler.h"
 #include "workload/micro_bench.h"
@@ -225,6 +227,50 @@ TEST_F(ParallelDifferentialTest, SmoothScanDopInvariantAcrossPolicies) {
   }
 }
 
+// A kernel given one whole-table morsel is the serial operator with its
+// prolog on a second stream: same multiset, same I/O, CPU equal up to float
+// summation order. Pins the morsel kernels to the serial operators they run.
+TEST_F(ParallelDifferentialTest, SingleMorselKernelMatchesSerial) {
+  ParallelScanOptions one = Par(1);
+  one.morsel_pages = 1u << 20;  // >= num_pages, a multiple of every window.
+  one.max_key_morsels = 1;
+  ASSERT_GE(one.morsel_pages, db_->heap().num_pages());
+  SwitchScanOptions switch_options;
+  switch_options.estimated_cardinality = 50;
+  for (const double sel : kSelectivities) {
+    const ScanPredicate pred = db_->PredicateForSelectivity(sel);
+    const std::multiset<int64_t> oracle = Oracle(pred);
+    IndexScan index(&db_->index(), pred);
+    SortScan sort(&db_->index(), pred);
+    SwitchScan switch_scan(&db_->index(), pred, switch_options);
+    SmoothScan smooth(&db_->index(), pred);
+    const std::pair<AccessPath*, std::unique_ptr<ParallelScan>> cases[] = {
+        {&index, MakeParallelIndexScan(&db_->index(), pred, one)},
+        {&sort, MakeParallelSortScan(&db_->index(), pred, SortScanOptions(),
+                                     one)},
+        {&switch_scan, MakeParallelSwitchScan(&db_->index(), pred,
+                                              switch_options, one)},
+        {&smooth, MakeParallelSmoothScan(&db_->index(), pred,
+                                         SmoothScanOptions(), one)},
+    };
+    for (const auto& [serial, par] : cases) {
+      const std::string label =
+          std::string(serial->name()) + " sel " + std::to_string(sel);
+      const CostSnapshot s =
+          RunAndCheck(engine_.get(), serial, oracle, label.c_str());
+      const CostSnapshot p =
+          RunAndCheck(engine_.get(), par.get(), oracle, label.c_str());
+      EXPECT_LE(par->num_morsels(), 1u) << label;
+      EXPECT_EQ(p.io.io_requests, s.io.io_requests) << label;
+      EXPECT_EQ(p.io.random_ios, s.io.random_ios) << label;
+      EXPECT_EQ(p.io.seq_ios, s.io.seq_ios) << label;
+      EXPECT_EQ(p.io.pages_read, s.io.pages_read) << label;
+      EXPECT_EQ(p.io.io_time, s.io.io_time) << label;
+      EXPECT_NEAR(p.cpu, s.cpu, 1e-9 * (1.0 + s.cpu)) << label;
+    }
+  }
+}
+
 TEST_F(ParallelDifferentialTest, ResidualPredicatesSurviveParallelism) {
   ScanPredicate pred = db_->PredicateForSelectivity(0.3);
   pred.residual = [](const Tuple& t) { return t[2].AsInt64() % 3 != 0; };
@@ -265,7 +311,8 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.4);
   const std::multiset<int64_t> oracle = Oracle(pred);
   engine_->ColdRestart();
-  auto gather = std::make_unique<GatherOp>(
+  // A ScanOp over the parallel scan is the exchange boundary.
+  auto gather = std::make_unique<ScanOp>(
       MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(), Par(8)));
   // Serial filter above the exchange boundary.
   FilterOp filter(engine_.get(), std::move(gather), [](const Tuple& t) {

@@ -126,23 +126,28 @@ TEST_F(PlanTest, DopScalesWallEstimateNotSimulatedCost) {
   EXPECT_EQ(at8.dop, 8u);
 }
 
-TEST_F(PlanTest, MakePathWithDopReturnsParallelVariant) {
+TEST_F(PlanTest, MakeParallelPathBuildsEveryHeapKind) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.05);
   ParallelScanOptions parallel;
-  parallel.dop = 4;
-  for (const PathKind kind :
-       {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
-        PathKind::kSwitchScan, PathKind::kSmoothScan}) {
-    std::unique_ptr<AccessPath> path =
-        MakePath(kind, &db_->index(), pred, false, 100, parallel);
-    ASSERT_NE(path, nullptr) << PathKindToString(kind);
-    engine_->ColdRestart();
-    ASSERT_TRUE(path->Open().ok());
-    Tuple t;
-    uint64_t n = 0;
-    while (path->Next(&t)) ++n;
-    EXPECT_GT(n, 0u) << PathKindToString(kind);
-    path->Close();
+  // dop 1 is already the morsel machinery (the engine's and the TPC-H
+  // plans' `dop >= 1` rule); 4 workers change only wall time.
+  for (const uint32_t dop : {1u, 4u}) {
+    parallel.dop = dop;
+    for (const PathKind kind :
+         {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
+          PathKind::kSwitchScan, PathKind::kSmoothScan}) {
+      std::unique_ptr<ParallelScan> path =
+          MakeParallelPath(kind, &db_->index(), pred, false, 100, parallel);
+      ASSERT_NE(path, nullptr) << PathKindToString(kind);
+      EXPECT_EQ(path->dop(), dop);
+      engine_->ColdRestart();
+      ASSERT_TRUE(path->Open().ok());
+      Tuple t;
+      uint64_t n = 0;
+      while (path->Next(&t)) ++n;
+      EXPECT_GT(n, 0u) << PathKindToString(kind);
+      path->Close();
+    }
   }
   // Order-preserving consumers keep the serial operator.
   EXPECT_EQ(MakeParallelPath(PathKind::kSmoothScan, &db_->index(), pred,
