@@ -36,6 +36,14 @@ one of the engine's structural invariants:
                      decomposition that runs the serial operator (or the
                      phase function it shares) per morsel, never a second
                      copy of the operator's loop.
+  hot-decode         No allocating decode (`.Deserialize(`) in the scan
+                     hot loops of src/access/full_scan.cc, switch_scan.cc,
+                     smooth_scan.cc and src/sharing/shared_scan_path.cc
+                     (decode into a recycled slot with DeserializeInto), and
+                     no `Push(std::move(` in src/engine/: the result stream
+                     takes a batch by pointer and hands back a recycled one,
+                     so a moved-away batch reintroduces the per-tuple
+                     allocation the stream removed.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -61,6 +69,14 @@ WRAPPER_FILES = {
     os.path.join("common", "latch_rank.h"),
     os.path.join("common", "latch_rank.cc"),
     os.path.join("common", "thread_annotations.h"),
+}
+
+# The scan hot loops that must decode in place (hot-decode rule).
+HOT_DECODE_FILES = {
+    os.path.join("access", "full_scan.cc"),
+    os.path.join("access", "switch_scan.cc"),
+    os.path.join("access", "smooth_scan.cc"),
+    os.path.join("sharing", "shared_scan_path.cc"),
 }
 
 RULES = [
@@ -125,6 +141,22 @@ RULES = [
                    "operator, or its shared phase function, per morsel)",
         "applies": lambda rel: rel == os.path.join("access",
                                                    "parallel_scan.cc"),
+    },
+    # hot-decode is two patterns over two file sets, sharing one name (and
+    # so one lint:allow tag).
+    {
+        "name": "hot-decode",
+        "pattern": re.compile(r"(?:\.|->)Deserialize\("),
+        "message": "allocating decode in a scan hot loop (DeserializeInto "
+                   "a recycled slot)",
+        "applies": lambda rel: rel in HOT_DECODE_FILES,
+    },
+    {
+        "name": "hot-decode",
+        "pattern": re.compile(r"\bPush\(\s*std::move\("),
+        "message": "batch moved into the result stream (Push(&batch) and "
+                   "refill the recycled batch it hands back)",
+        "applies": lambda rel: rel.startswith("engine" + os.sep),
     },
 ]
 

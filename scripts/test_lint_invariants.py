@@ -105,6 +105,24 @@ class LintTest(unittest.TestCase):
         self.write("access/smooth_scan.cc", loop)  # The operators own loops.
         self.assertEqual(self.names(), ["kernel-page-loop"] * 5)
 
+    def test_hot_decode_fires_in_scan_loops_and_engine_only(self):
+        decode = "Tuple t = schema.Deserialize(data, size);\n"
+        self.write("access/full_scan.cc", decode)
+        self.write("access/switch_scan.cc", decode)
+        self.write("access/smooth_scan.cc",
+                   decode + "schema.DeserializeInto(data, size, slot);\n")
+        self.write("sharing/shared_scan_path.cc",
+                   "Tuple t = heap->schema()->Deserialize(data, size);\n")
+        self.write("storage/heap_file.cc", decode)  # Not a scan hot loop.
+        push = "spec.stream->Push(std::move(batch));\n"
+        self.write("engine/query_engine.cc",
+                   push + "spec.stream->Push(&batch);\n")
+        self.write("access/index_scan.cc", push)  # Engine-only half.
+        self.assertEqual(self.names(), ["hot-decode"] * 5)
+        self.write("engine/session.cc",
+                   "stream_->Push(std::move(b));  // lint:allow(hot-decode)\n")
+        self.assertEqual(self.names(["hot-decode"]), ["hot-decode"] * 5)
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

@@ -1,6 +1,7 @@
 #include "access/smooth_scan.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace smoothscan {
 
@@ -94,8 +95,7 @@ ExecContext SmoothScan::DefaultContext() const {
 
 Status SmoothScan::OpenImpl() {
   sstats_ = SmoothScanStats();
-  emit_.clear();
-  emit_pos_ = 0;
+  emit_pos_ = emit_end_ = 0;
   region_pages_ = 1;
   tuple_cache_.reset();
   result_cache_.reset();
@@ -177,8 +177,10 @@ Status SmoothScan::OpenImpl() {
 void SmoothScan::CloseImpl() {
   FlushCacheSkipRun();
   // Release every auxiliary structure (page/tuple caches, result cache and
-  // its spill file references, buffered tuples, the index iterator). The
-  // next Open() rebuilds them from scratch.
+  // its spill file references, the index iterator); the next Open() rebuilds
+  // them from scratch. Buffered tuples are dropped, but the spill slots keep
+  // their Value storage for the next Open's harvest — a high-water buffer,
+  // like a BatchPool's warm batches.
   it_.reset();
   page_cache_.reset();
   tuple_cache_.reset();
@@ -190,9 +192,7 @@ void SmoothScan::CloseImpl() {
     sstats_.rc_restored_tuples += rc.restored_tuples;
   }
   result_cache_.reset();
-  emit_.clear();
-  emit_.shrink_to_fit();
-  emit_pos_ = 0;
+  emit_pos_ = emit_end_ = 0;
 }
 
 void SmoothScan::MaybeTrigger() {
@@ -357,20 +357,44 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       const int64_t key =
           schema.ReadInt64Column(data, size, predicate_.column);
       if (!predicate_.MatchesKey(key)) continue;
-      Tuple tuple = schema.Deserialize(data, size);
-      if (predicate_.residual && !predicate_.residual(tuple)) continue;
+      // Decode straight into the tuple's destination, reusing its Value
+      // storage: the caller's batch while it has room, else the next spill
+      // slot (ordered mode: a tuple for the Result Cache). A rejected tuple
+      // hands its slot back.
+      Tuple ordered;
+      const bool to_out =
+          !options_.preserve_order && out != nullptr && !out->full();
+      Tuple* tuple = options_.preserve_order ? &ordered
+                     : to_out               ? out->AppendSlot()
+                                            : EmitSlot();
+      schema.DeserializeInto(data, size, tuple);
+      const auto reject = [&] {
+        if (to_out) {
+          out->PopLast();
+        } else if (!options_.preserve_order) {
+          --emit_end_;
+        }
+      };
+      if (predicate_.residual && !predicate_.residual(*tuple)) {
+        reject();
+        continue;
+      }
       page_has_result = true;
       const Tid tid{pid, s};
       // Under a non-eager trigger, tuples already produced in Mode 0 must
       // not be produced again.
       if (tuple_cache_ != nullptr) {
         ++cache_ops;
-        if (tuple_cache_->Contains(tid)) continue;
+        if (tuple_cache_->Contains(tid)) {
+          reject();
+          continue;
+        }
       } else if (options_.positional_dedup && m0_any_) {
         // Mode 0 produced every qualifying tuple positioned at or before
         // (m0_last_key_, m0_last_tid_) in the strict (key, Tid) order.
         if (key < m0_last_key_ ||
             (key == m0_last_key_ && !(m0_last_tid_ < tid))) {
+          reject();
           continue;
         }
       }
@@ -382,16 +406,12 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       ++produced;
       if (options_.preserve_order) {
         ++cache_ops;
-        result_cache_->Insert(key, tid, std::move(tuple));
+        result_cache_->Insert(key, tid, std::move(ordered));
         ++sstats_.rc_inserts;
         sstats_.rc_max_size =
             std::max(sstats_.rc_max_size, result_cache_->max_size());
-      } else if (out != nullptr && !out->full()) {
-        // Emit straight into the caller's batch — the vectorized fast path.
-        out->Append(std::move(tuple));
-        ++stats_.tuples_produced;
-      } else {
-        emit_.push_back(std::move(tuple));
+      } else if (to_out) {
+        ++stats_.tuples_produced;  // The vectorized fast path.
       }
     }
     if (page_has_result) ++region_result_pages;
@@ -409,6 +429,11 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   UpdatePolicy(region_pages_seen, region_result_pages);
   sstats_.pages_seen += region_pages_seen;
   sstats_.pages_with_results += region_result_pages;
+}
+
+Tuple* SmoothScan::EmitSlot() {
+  if (emit_end_ == emit_.size()) emit_.emplace_back();
+  return &emit_[emit_end_++];
 }
 
 bool SmoothScan::HasEntry() const {
@@ -431,15 +456,14 @@ void SmoothScan::NextEntry() {
 void SmoothScan::NextUnordered(TupleBatch* out) {
   const ExecContext& ctx = this->ctx();
   while (!out->full()) {
-    if (emit_pos_ < emit_.size()) {
-      while (emit_pos_ < emit_.size() && !out->full()) {
-        out->Append(std::move(emit_[emit_pos_++]));
+    if (emit_pos_ < emit_end_) {
+      // Swap, not move: the batch slot's old storage becomes the spill
+      // slot's, so neither side reallocates on the next fill.
+      while (emit_pos_ < emit_end_ && !out->full()) {
+        std::swap(*out->AppendSlot(), emit_[emit_pos_++]);
         ++stats_.tuples_produced;
       }
-      if (emit_pos_ >= emit_.size()) {
-        emit_.clear();
-        emit_pos_ = 0;
-      }
+      if (emit_pos_ >= emit_end_) emit_pos_ = emit_end_ = 0;
       continue;
     }
     if (!HasEntry()) return;

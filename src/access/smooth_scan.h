@@ -213,6 +213,9 @@ class SmoothScan : public AccessPath {
   /// then updates the policy state. `out` may be null (ordered mode inserts
   /// into the Result Cache instead).
   void FetchRegionAndHarvest(PageId target, TupleBatch* out);
+  /// Appends one spill slot to `emit_` (growing it only past its high-water
+  /// mark) for in-place decode.
+  Tuple* EmitSlot();
   void UpdatePolicy(uint64_t region_pages, uint64_t region_result_pages);
   /// Index-entry cursor over the index iterator, or over the morsel's TIDs.
   bool HasEntry() const;
@@ -250,11 +253,13 @@ class SmoothScan : public AccessPath {
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;
   /// Overflow of harvested-but-not-yet-emitted tuples (a morphing region can
-  /// exceed one batch). `emit_pos_` is the consumption cursor — rows are
-  /// never erased from the front (that would be quadratic at small batch
-  /// sizes); the vector is cleared once fully drained.
+  /// exceed one batch): live in [emit_pos_, emit_end_). A high-water buffer —
+  /// rows are never erased (from the front that would be quadratic at small
+  /// batch sizes), the cursors reset once it drains, and its slots keep their
+  /// Value storage for the next region's decode, across Open cycles too.
   std::vector<Tuple> emit_;
   size_t emit_pos_ = 0;
+  size_t emit_end_ = 0;
   uint32_t region_pages_ = 1;
 
   // Registry handles cached at Open (null when no registry is attached) and

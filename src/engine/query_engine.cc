@@ -665,10 +665,10 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
             res.keys.push_back(batch.row(i)[0].AsInt64());
           }
         }
-        if (spec.stream != nullptr) {
-          spec.stream->Push(std::move(batch));
-          batch.Clear();  // Leave the moved-from batch refillable.
-        }
+        // The stream hands back a recycled batch, so the next fill reuses
+        // warm row storage (and a parallel leaf's swap returns that warm
+        // storage to its BatchPool).
+        if (spec.stream != nullptr) spec.stream->Push(&batch);
         // Polled between batches: path->Close() below is the teardown — for
         // a shared-scan consumer that is Detach mid-lap, the existing
         // cancelled-consumer path, and the peers' laps proceed untouched.

@@ -37,6 +37,7 @@
 #include <functional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/latch_rank.h"
@@ -74,27 +75,44 @@ enum class QueryLane { kBatch = 0, kSla = 1 };
 
 const char* QueryLaneToString(QueryLane lane);
 
-/// Bounded batch queue between an executing query and the client holding its
-/// QueryHandle — the streaming half of the Session API. The executor Pushes
-/// each result batch as it is produced (blocking while the window is full);
-/// the handle Pops them. Closing the consumer side unblocks the producer and
-/// turns further pushes into drops, so an abandoned or cancelled stream never
-/// wedges an executor. Streaming changes only *where* batches go, never what
-/// the query is charged: the blocking adds wall time, not simulated cost.
+/// Bounded, two-way batch exchange between an executing query and the client
+/// holding its QueryHandle — the streaming half of the Session API. Batches
+/// flow both ways so the result path allocates nothing in steady state. The
+/// stream is a ring of `window` batch slots: the executor Pushes each result
+/// batch into the tail slot (blocking while the window is full) and takes
+/// back what the slot held — the batch the client last handed back, cleared
+/// with its row and Value storage intact — to refill. The handle Pops by
+/// swapping the head batch into its own; the batch it held before stays in
+/// the slot for the producer. So at most one window of batches is recycled,
+/// and only batches of the producer's capacity are handed to it. Closing the
+/// consumer side unblocks the producer and turns further pushes into drops,
+/// so an abandoned or cancelled stream never wedges an executor. Streaming
+/// changes only *where* batches go, never what the query is charged: the
+/// blocking adds wall time, not simulated cost.
 class ResultStream {
  public:
   explicit ResultStream(size_t max_batches = 4)
-      : cap_(max_batches == 0 ? 1 : max_batches) {}
+      : cap_(max_batches == 0 ? 1 : max_batches), ring_(cap_) {}
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
-  /// Producer (engine executor): enqueue one batch; blocks while the window
-  /// is full and the consumer is still attached.
-  void Push(TupleBatch batch) {
+  /// Producer (engine executor): enqueue `*batch`; blocks while the window
+  /// is full and the consumer is still attached. On return `*batch` is an
+  /// empty batch of the same capacity to refill, recycled when the consumer
+  /// handed one back. With the consumer gone the rows are dropped and the
+  /// batch keeps its own storage.
+  void Push(TupleBatch* batch) {
     latch::UniqueLatch lock(mu_);
-    while (!closed_ && q_.size() >= cap_) cv_.wait(lock);
-    if (closed_) return;  // Consumer gone: drop, keep draining.
-    q_.push_back(std::move(batch));
+    while (!closed_ && count_ >= cap_) cv_.wait(lock);
+    if (closed_) {  // Consumer gone: drop, keep draining.
+      batch->Clear();
+      return;
+    }
+    const size_t capacity = batch->capacity();
+    std::swap(ring_[(head_ + count_) % cap_], *batch);
+    ++count_;
+    // Only a batch of the producer's own capacity is refilled.
+    if (batch->capacity() != capacity) *batch = TupleBatch(capacity);
     cv_.notify_all();
   }
 
@@ -102,17 +120,28 @@ class ResultStream {
   void FinishProducer() {
     latch::LatchGuard lock(mu_);
     finished_ = true;
+    // Nothing will refill the recycled batches in the idle slots.
+    for (size_t i = count_; i < cap_; ++i) {
+      ring_[(head_ + i) % cap_] = TupleBatch();
+    }
     cv_.notify_all();
   }
 
-  /// Consumer (QueryHandle): dequeue the next batch; false once the producer
-  /// finished and the queue drained.
+  /// Consumer (QueryHandle): swap the next batch into `*out`; false once the
+  /// producer finished and the queue drained. The batch `*out` held before
+  /// goes back to the producer (which drops it instead if its capacity
+  /// differs); its rows are gone either way.
   bool Pop(TupleBatch* out) {
+    TupleBatch spare;  // Destroyed after the latch is released.
     latch::UniqueLatch lock(mu_);
-    while (q_.empty() && !finished_) cv_.wait(lock);
-    if (q_.empty()) return false;
-    *out = std::move(q_.front());
-    q_.pop_front();
+    while (count_ == 0 && !finished_) cv_.wait(lock);
+    if (count_ == 0) return false;
+    TupleBatch& slot = ring_[head_];
+    out->Clear();
+    std::swap(*out, slot);
+    if (finished_) std::swap(spare, slot);  // Nobody will refill it.
+    head_ = (head_ + 1) % cap_;
+    --count_;
     cv_.notify_all();
     return true;
   }
@@ -121,7 +150,8 @@ class ResultStream {
   void CloseConsumer() {
     latch::LatchGuard lock(mu_);
     closed_ = true;
-    q_.clear();
+    for (TupleBatch& slot : ring_) slot = TupleBatch();
+    count_ = 0;
     cv_.notify_all();
   }
 
@@ -129,8 +159,12 @@ class ResultStream {
   mutable latch::Latch mu_{latch::LatchRank::kResultStream,
                            "ResultStream::mu_"};
   std::condition_variable_any cv_;
-  std::deque<TupleBatch> q_ GUARDED_BY(mu_);
   const size_t cap_;
+  /// `count_` queued batches from `head_`; the idle slots hold the batches
+  /// the consumer handed back (or empty ones).
+  std::vector<TupleBatch> ring_ GUARDED_BY(mu_);
+  size_t head_ GUARDED_BY(mu_) = 0;
+  size_t count_ GUARDED_BY(mu_) = 0;
   bool finished_ GUARDED_BY(mu_) = false;
   bool closed_ GUARDED_BY(mu_) = false;
 };
@@ -174,9 +208,10 @@ struct QuerySpec {
   bool allow_sharing = true;
 
   // --- wired by Session (engine/session.h); not part of the client surface.
-  /// Result batches are moved into this stream as they are produced (owned
-  /// by the QueryHandle; must outlive the query's execution — the handle's
-  /// Wait() is the synchronization point).
+  /// Result batches are pushed into this stream as they are produced, and
+  /// the executor refills the recycled batch each push returns (owned by the
+  /// QueryHandle; must outlive the query's execution — the handle's Wait()
+  /// is the synchronization point).
   ResultStream* stream = nullptr;
   /// Invoked exactly once per query, after its record is done (completion or
   /// cancellation), from a thread holding no engine latches. The Session's

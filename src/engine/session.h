@@ -77,7 +77,10 @@ class QueryHandle {
 
   /// Streamed result batches (queries built with Stream()): blocks for the
   /// next batch; false once the query finished and the stream drained.
-  /// Always false for non-streamed queries.
+  /// Always false for non-streamed queries. The next batch is swapped into
+  /// `*out`, and the batch `*out` held is recycled to the executor: rows
+  /// read from a batch are valid only until NextBatch is called again (move
+  /// them out to keep them).
   bool NextBatch(TupleBatch* out);
 
   /// Blocks until the query completes; idempotent (the first call reaps the

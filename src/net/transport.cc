@@ -160,7 +160,7 @@ TcpListener::~TcpListener() { Close(); }
 
 std::unique_ptr<Transport> TcpListener::Accept() {
   for (;;) {
-    const int cfd = ::accept(fd_, nullptr, nullptr);
+    const int cfd = ::accept(fd_.load(), nullptr, nullptr);
     if (cfd >= 0) return std::make_unique<TcpTransport>(cfd);
     if (errno == EINTR) continue;
     return nullptr;
@@ -168,10 +168,12 @@ std::unique_ptr<Transport> TcpListener::Accept() {
 }
 
 void TcpListener::Close() {
-  if (fd_ >= 0) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+  // Races a blocked Accept() on another thread: the shutdown wakes it, and a
+  // later accept() on -1 fails instead of reading a half-written fd.
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

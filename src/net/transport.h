@@ -7,6 +7,7 @@
 #ifndef SMOOTHSCAN_NET_TRANSPORT_H_
 #define SMOOTHSCAN_NET_TRANSPORT_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -58,7 +59,7 @@ class TcpListener {
  private:
   TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
 
-  int fd_;
+  std::atomic<int> fd_;
   uint16_t port_;
 };
 

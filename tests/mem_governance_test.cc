@@ -28,7 +28,9 @@
 #include "access/full_scan.h"
 #include "access/parallel_scan.h"
 #include "access/result_cache.h"
+#include "access/smooth_scan.h"
 #include "engine/query_engine.h"
+#include "engine/session.h"
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
@@ -254,6 +256,75 @@ TEST_F(AllocationRegression, AbandonedPendingBatchReturnsToPool) {
     EXPECT_EQ(s.releases, s.acquires)
         << "abandoned cycle " << cycle << " stranded pooled batches";
   }
+}
+
+// A streamed query's heap allocations do not grow with its result. On a warm
+// engine the executor refills the batch the stream hands back and the
+// client's previous batch goes back to the executor, so a Session Stream()
+// FullScan at 100% allocates no more than the same query at 25%, give or
+// take one window of cold batches (each batch's first fill allocates its row
+// slots and one Value vector per row). A stream that takes batches away
+// instead makes every next batch re-allocate all of that: at least one
+// allocation per result tuple. (Serial leaf: a parallel leaf's pool grows to
+// the batches its unbounded morsel queues hold in flight.)
+TEST_F(AllocationRegression, StreamedQueryAllocationsIndependentOfResultSize) {
+  QueryEngineOptions qeo;
+  qeo.max_admitted = 1;
+  QueryEngine qe(engine_.get(), qeo);
+  const SessionOptions so;
+  Session session(&qe, so);
+  auto streamed = [&](double selectivity, uint64_t* tuples) {
+    const uint64_t before = AllocCount();
+    QueryHandle h = session.Query()
+                        .Table(&db_->index())
+                        .Predicate(db_->PredicateForSelectivity(selectivity))
+                        .Policy(PathKind::kFullScan)
+                        .Stream()
+                        .Submit();
+    TupleBatch batch;
+    *tuples = 0;
+    while (h.NextBatch(&batch)) *tuples += batch.size();
+    EXPECT_TRUE(h.Wait().status.ok());
+    return AllocCount() - before;
+  };
+  uint64_t quarter_tuples = 0;
+  uint64_t full_tuples = 0;
+  streamed(1.0, &full_tuples);  // Warm the pool and the allocator.
+  const uint64_t quarter = streamed(0.25, &quarter_tuples);
+  const uint64_t full = streamed(1.0, &full_tuples);
+  ASSERT_EQ(full_tuples, 30000u);
+  ASSERT_GT(quarter_tuples, 4 * kDefaultBatchSize) << "too few batches";
+  const uint64_t one_window = so.stream_batches * (kDefaultBatchSize + 1);
+  EXPECT_LE(full, quarter + one_window)
+      << full << " allocations at 100% vs " << quarter << " at 25% ("
+      << full_tuples - quarter_tuples << " more tuples)";
+}
+
+// Smooth Scan's harvest decodes each qualifying tuple in place — into the
+// caller's batch, or into a spill slot of the high-water buffer that hands
+// tuples to the batch by swap — so once the buffer has reached the largest
+// region, a drain at 100% allocates per region (caches, iterator, probes),
+// not per tuple; Deserialize-then-move allocates once per produced tuple.
+TEST_F(AllocationRegression, SmoothScanHarvestAllocatesPerRegionNotPerTuple) {
+  SmoothScan scan(&db_->index(), db_->PredicateForSelectivity(1.0),
+                  SmoothScanOptions());
+  TupleBatch batch;
+  auto drain = [&] {
+    EXPECT_TRUE(scan.Open().ok());
+    uint64_t tuples = 0;
+    while (scan.NextBatch(&batch)) tuples += batch.size();
+    scan.Close();
+    return tuples;
+  };
+  drain();  // Warm: pool, batch slots and the spill buffer's high water.
+  const uint64_t before = AllocCount();
+  const uint64_t tuples = drain();
+  const uint64_t allocs = AllocCount() - before;
+  ASSERT_EQ(tuples, 30000u);
+  ASSERT_GT(scan.smooth_stats().probes, 5u) << "too few regions";
+  EXPECT_LT(allocs, tuples / 100)
+      << allocs << " allocations over " << scan.smooth_stats().probes
+      << " regions";
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/query_engine.h"
@@ -611,6 +612,177 @@ TEST(SessionApiTest, HandlesStreamAndDrainWithoutTheWire) {
                                 .Policy(PathKind::kIndexScan)
                                 .Run();
   EXPECT_TRUE(after.status.ok());
+}
+
+// The stream's two-way contract: batches flow back to the producer, which
+// therefore must see results exactly as a Wait() run does and pay exactly
+// the same simulated cost.
+QueryBuilder StreamRead(const ServedDb& sdb, Session* session, PathKind kind,
+                        double selectivity, uint32_t dop) {
+  QueryBuilder q = session->Query();
+  q.Table(&sdb.db->index())
+      .Predicate(sdb.db->PredicateForSelectivity(selectivity))
+      .Policy(kind)
+      .Estimate(100)
+      .Dop(dop)
+      .AllowSharing(false);
+  return q;
+}
+
+TEST(SessionApiTest, StreamedResultsAndCostsMatchWaitRuns) {
+  ServedDb sdb(2);
+  for (const size_t window : {size_t{1}, size_t{4}}) {
+    SessionOptions so;
+    so.stream_batches = window;
+    Session session(sdb.qe.get(), so);
+    for (const PathKind kind :
+         {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
+          PathKind::kSwitchScan, PathKind::kSmoothScan}) {
+      for (const uint32_t dop : {0u, 2u}) {
+        for (const double sel : {0.001, 0.2, 1.0}) {
+          const std::string label =
+              std::string(PathKindToString(kind)) + " dop " +
+              std::to_string(dop) + " sel " + std::to_string(sel) +
+              " window " + std::to_string(window);
+          const QueryResult waited =
+              StreamRead(sdb, &session, kind, sel, dop).CollectKeys().Run();
+          ASSERT_TRUE(waited.status.ok()) << label;
+
+          QueryHandle h =
+              StreamRead(sdb, &session, kind, sel, dop).Stream().Submit();
+          std::multiset<int64_t> streamed_keys;
+          TupleBatch batch;
+          while (h.NextBatch(&batch)) {
+            for (size_t i = 0; i < batch.size(); ++i) {
+              streamed_keys.insert(batch.row(i)[0].AsInt64());
+            }
+          }
+          const QueryResult streamed = h.Take();
+          ASSERT_TRUE(streamed.status.ok()) << label;
+          EXPECT_EQ(streamed_keys, std::multiset<int64_t>(
+                                       waited.keys.begin(), waited.keys.end()))
+              << label;
+          const QueryMetrics& a = waited.metrics;
+          const QueryMetrics& b = streamed.metrics;
+          EXPECT_EQ(a.sim_time, b.sim_time) << label;  // Exact.
+          EXPECT_EQ(a.io_time, b.io_time) << label;
+          EXPECT_EQ(a.cpu_time, b.cpu_time) << label;
+          EXPECT_EQ(a.pages_read, b.pages_read) << label;
+          EXPECT_EQ(a.tuples, b.tuples) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(SessionApiTest, StreamRecyclesOnlyProducerCapacityBatches) {
+  // Driven by hand, one side at a time, so every hand-off is visible. The
+  // producer fills batches of 8; the client starts with a default-capacity
+  // batch that holds rows.
+  ResultStream stream(2);
+  auto fill = [](TupleBatch* b, int64_t key) {
+    for (int i = 0; i < 3; ++i) b->AppendSlot()->assign(1, Value::Int64(key));
+  };
+  auto push = [&](TupleBatch* b, int64_t key) {
+    fill(b, key);
+    stream.Push(b);
+    EXPECT_TRUE(b->empty()) << key;
+    EXPECT_EQ(b->capacity(), 8u) << key;  // Never the client's batch.
+  };
+  TupleBatch produced(8);
+  TupleBatch consumed;
+  fill(&consumed, 99);
+
+  push(&produced, 1);
+  ASSERT_TRUE(stream.Pop(&consumed));  // Hands over the foreign batch.
+  EXPECT_EQ(consumed.capacity(), 8u);
+  EXPECT_EQ(consumed.row(0)[0].AsInt64(), 1);
+  const Tuple* storage = &consumed.row(0);
+
+  push(&produced, 2);
+  ASSERT_TRUE(stream.Pop(&consumed));  // Hands batch 1 back.
+  EXPECT_EQ(consumed.row(0)[0].AsInt64(), 2);
+  push(&produced, 3);  // Gets the foreign batch's slot: a fresh batch.
+  EXPECT_NE(produced.fill_rows(), storage);
+  ASSERT_TRUE(stream.Pop(&consumed));
+  EXPECT_EQ(consumed.row(0)[0].AsInt64(), 3);
+  push(&produced, 4);  // Gets batch 1 back: cleared, same row storage.
+  EXPECT_EQ(produced.fill_rows(), storage);
+
+  stream.FinishProducer();
+  ASSERT_TRUE(stream.Pop(&consumed));
+  EXPECT_EQ(consumed.row(2)[0].AsInt64(), 4);
+  EXPECT_FALSE(stream.Pop(&consumed));
+}
+
+TEST(SessionApiTest, StreamRecyclingStaysOrderedAndBoundedUnderConcurrency) {
+  for (const size_t window : {size_t{1}, size_t{3}}) {
+    // foreign_every 4: every fourth pop offers a default-capacity batch.
+    // 0: the client pops into one batch throughout, so storage circulates
+    // and at most the window plus the two sides' batches ever exist.
+    for (const int foreign_every : {4, 0}) {
+      ResultStream stream(window);
+      constexpr int kBatches = 2000;
+      std::set<const Tuple*> storages;
+      std::thread producer([&] {
+        TupleBatch batch(64);
+        for (int i = 0; i < kBatches; ++i) {
+          storages.insert(batch.fill_rows());
+          batch.AppendSlot()->assign(1, Value::Int64(i));
+          stream.Push(&batch);
+          EXPECT_EQ(batch.capacity(), 64u);
+          EXPECT_TRUE(batch.empty());
+        }
+        stream.FinishProducer();
+      });
+      int64_t expected = 0;
+      TupleBatch mine(64);
+      for (int i = 0;; ++i) {
+        TupleBatch foreign;
+        TupleBatch* out =
+            foreign_every != 0 && i % foreign_every == 0 ? &foreign : &mine;
+        if (!stream.Pop(out)) break;
+        ASSERT_EQ(out->size(), 1u);
+        EXPECT_EQ(out->row(0)[0].AsInt64(), expected++);
+      }
+      producer.join();
+      EXPECT_EQ(expected, kBatches) << "window " << window;
+      if (foreign_every == 0) {
+        EXPECT_LE(storages.size(), window + 2) << "window " << window;
+      }
+    }
+  }
+}
+
+TEST(SessionApiTest, CancelMidStreamWithRecycledBatchesInFlight) {
+  ServedDb sdb(2);
+  SessionOptions so;
+  so.stream_batches = 2;
+  Session session(sdb.qe.get(), so);
+  for (const uint32_t dop : {0u, 2u}) {
+    for (int round = 0; round < 8; ++round) {
+      QueryHandle h = StreamRead(sdb, &session, PathKind::kFullScan, 1.0, dop)
+                          .Stream()
+                          .Submit();
+      TupleBatch batch;
+      // Pop a few so recycled batches are with the producer, then walk
+      // away; the producer may be blocked on the full window right now.
+      for (int i = 0; i < 1 + round % 3; ++i) ASSERT_TRUE(h.NextBatch(&batch));
+      h.Cancel();
+      while (h.NextBatch(&batch)) {
+      }
+      const QueryResult& r = h.Wait();
+      EXPECT_TRUE(r.metrics.cancelled || r.status.ok()) << r.status.ToString();
+    }
+    // No executor is wedged on a stream nobody reads: the engine still
+    // serves.
+    const QueryResult after =
+        StreamRead(sdb, &session, PathKind::kFullScan, 0.01, dop)
+            .CollectKeys()
+            .Run();
+    ASSERT_TRUE(after.status.ok());
+    EXPECT_EQ(after.keys.size(), after.metrics.tuples);
+  }
 }
 
 }  // namespace
