@@ -13,6 +13,12 @@ coverage); fresh rows without a baseline are reported but pass (new
 coverage). A fresh bench file with no committed baseline is skipped with a
 note — bless it by copying the JSON to the repo root.
 
+Same-run ratio ceilings (SAME_RUN_CEILINGS) compare two rows of one fresh
+run instead of a row against its baseline: fig05's parallel Smooth Scan rows
+may cost at most 1.1x the serial SmoothScan row at the same selectivity. A
+ratio of two legs of one run holds on any hardware and cannot be blessed
+away by re-baselining both legs.
+
 Usage:
   check_bench_regression.py --baseline-dir . --fresh-dir bench-json \
       [--threshold 0.25] [bench names...]
@@ -45,6 +51,14 @@ DEFAULT_THRESHOLD = 0.25
 MIN_BASELINE_SIM_TIME = 1.0
 # Absolute slack for fetch-ratio comparisons (pages_vs_solo is a ratio ~1-8).
 FETCH_RATIO_SLACK = 0.01
+# (bench, series prefix, reference series, ceiling): every fresh row whose
+# series starts with the prefix costs at most `ceiling` times the reference
+# series' row at the same sel_pct in the same run. Parallel Smooth Scan
+# morsels start from the densities the prolog observed, so the morsel
+# decomposition must not tax the serial operator's cost.
+SAME_RUN_CEILINGS = [
+    ("fig05_selectivity", "ParSmoothScan dop=", "SmoothScan", 1.10),
+]
 
 
 def row_key(row):
@@ -78,10 +92,40 @@ def error(msg):
           f"ERROR: {msg}")
 
 
+def check_same_run_ceilings(name, fresh_rows):
+    """Returns failures of the bench's same-run ratio ceilings."""
+    failures = []
+    for bench, prefix, reference, ceiling in SAME_RUN_CEILINGS:
+        if bench != name:
+            continue
+        refs = {round(float(row.get("sel_pct", 0.0)), 6): row
+                for row in fresh_rows if row.get("series") == reference}
+        for row in fresh_rows:
+            series = row.get("series", "")
+            if not series.startswith(prefix):
+                continue
+            sel = round(float(row.get("sel_pct", 0.0)), 6)
+            ref = refs.get(sel)
+            if ref is None:
+                failures.append(f"{name} {series} @ {sel}%: no {reference} "
+                                "row at the same sel_pct to bound it by")
+                continue
+            ref_sim = float(ref.get("sim_time", 0.0))
+            sim = float(row.get("sim_time", 0.0))
+            if sim > ceiling * ref_sim:
+                failures.append(
+                    f"{name} {series} @ {sel}%: sim_time {sim:.1f} is "
+                    f"{sim / ref_sim:.3f}x {reference}'s {ref_sim:.1f} "
+                    f"(same-run ceiling {ceiling:.2f}x)")
+    return failures
+
+
 def check_bench(name, baseline_path, fresh_path, threshold):
     """Returns (failures, notes) for one bench."""
     failures = []
     notes = []
+    with open(fresh_path) as f:
+        failures += check_same_run_ceilings(name, json.load(f).get("rows", []))
     if not os.path.exists(baseline_path):
         notes.append(f"{name}: no committed baseline at {baseline_path} — "
                      "skipped (bless by committing the fresh JSON)")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Self-test of the CI perf-regression gate: proves, with doctored bench
 JSONs, that the gate passes on unchanged results and demonstrably fails on a
->25% simulated-cost regression, a shared-scan fetch-ratio regression, and a
-dropped row. Run directly (CI) or via ctest.
+>25% simulated-cost regression, a shared-scan fetch-ratio regression, a
+dropped row, and a parallel Smooth Scan row above its same-run ceiling. Run directly (CI) or via ctest.
 """
 
 import copy
@@ -127,6 +127,35 @@ class GateTest(unittest.TestCase):
         del fresh["rows"][0]                      # But presence still gates.
         self.write(self.fresh_dir, fresh)
         self.assertEqual(self.run_gate(), 1)
+
+    def test_parallel_smooth_over_serial_ceiling(self):
+        def fig05(par_sim):
+            rows = [{"series": "SmoothScan", "sel_pct": 20.0,
+                     "sim_time": 1000.0, "threads": 1.0}]
+            for dop in (1, 8):
+                rows.append({"series": f"ParSmoothScan dop={dop}",
+                             "sel_pct": 20.0, "sim_time": par_sim,
+                             "threads": float(dop)})
+            return {"bench": "fig05_selectivity", "rows": rows}
+
+        def gate_fig05(baseline, fresh):
+            for dirname, payload in ((self.base_dir, baseline),
+                                     (self.fresh_dir, fresh)):
+                with open(os.path.join(dirname,
+                                       "BENCH_fig05_selectivity.json"),
+                          "w") as f:
+                    json.dump(payload, f)
+            return gate.main(["--baseline-dir", self.base_dir,
+                              "--fresh-dir", self.fresh_dir,
+                              "fig05_selectivity"])
+
+        self.assertEqual(gate_fig05(fig05(1100.0), fig05(1100.0)), 0)
+        # 1.2x serial in the same run fails, even blessed as the baseline.
+        self.assertEqual(gate_fig05(fig05(1200.0), fig05(1200.0)), 1)
+        # ... and so does a parallel row left without its serial reference.
+        orphan = fig05(1000.0)
+        del orphan["rows"][0]
+        self.assertEqual(gate_fig05(orphan, orphan), 1)
 
     def test_missing_baseline_file_is_skipped(self):
         self.write(self.fresh_dir, BASELINE)

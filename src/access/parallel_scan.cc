@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "access/index_scan.h"
@@ -485,6 +487,13 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
 // policy counters are its own (pages outside the range are never read), so
 // region-growth decisions depend on the morsel partition alone, never on
 // scheduling.
+//
+// A morsel is a cheap unit of restart only if it need not re-learn the
+// density: the prolog's bucketing is an observation of every morsel's page
+// density, so morsel k > 0 starts its region growth at the region size the
+// density of morsel k - 1 makes cheapest (SeedFor), on a stream seeded at
+// page_begin - 1 like FullScan's. Morsel 0 runs unseeded — exactly the
+// serial operator, which is what a one-morsel kernel must be.
 // ---------------------------------------------------------------------------
 
 class ParallelSmoothScanKernel : public ParallelScanKernel {
@@ -521,39 +530,119 @@ class ParallelSmoothScanKernel : public ParallelScanKernel {
 
   std::vector<Morsel> Plan(const ExecContext& planning, const EmitFn&,
                            AccessPathStats*) override {
-    std::vector<Morsel> morsels = MorselSource::PageRanges(
-        static_cast<PageId>(index_->heap()->num_pages()), morsel_pages_);
+    const PageId num_pages =
+        static_cast<PageId>(index_->heap()->num_pages());
+    std::vector<Morsel> morsels =
+        MorselSource::PageRanges(num_pages, morsel_pages_);
     buckets_.assign(morsels.size(), {});
     sstats_.assign(morsels.size(), SmoothScanStats());
     // The full leaf traversal of the qualifying range (charged once, like the
-    // serial operator's), bucketed by the heap page each entry targets.
+    // serial operator's), bucketed by the heap page each entry targets, and
+    // per bucket its distinct target pages and lowest one.
+    std::vector<bool> targeted(num_pages, false);
+    std::vector<uint32_t> distinct(morsels.size(), 0);
+    std::vector<PageId> lowest(morsels.size(), num_pages);
     for (BPlusTree::Iterator it = index_->Seek(predicate_.lo, &planning);
          it.Valid() && it.key() < predicate_.hi; it.Next()) {
-      buckets_[it.tid().page_id / morsel_pages_].push_back(it.tid());
+      const PageId page = it.tid().page_id;
+      const size_t b = page / morsel_pages_;
+      buckets_[b].push_back(it.tid());
+      if (!targeted[page]) {
+        targeted[page] = true;
+        ++distinct[b];
+        lowest[b] = std::min(lowest[b], page);
+      }
+    }
+    seeds_.assign(morsels.size(), std::nullopt);
+    for (size_t k = 1; k < morsels.size(); ++k) {
+      if (buckets_[k].empty()) continue;
+      const Morsel& prev = morsels[k - 1];
+      seeds_[k] = SeedFor(distinct[k - 1], prev.page_end - prev.page_begin,
+                          lowest[k]);
     }
     return morsels;
   }
 
   AccessPathStats RunMorsel(const Morsel& m, const ExecContext& ctx,
                             const EmitFn& emit) override {
+    if (m.page_begin > 0) {
+      ctx.disk->SeedPosition(index_->heap()->file_id(), m.page_begin - 1);
+    }
     SmoothScan scan(index_, predicate_, scan_options_, buckets_[m.index],
-                    m.page_begin, m.page_end);
+                    m.page_begin, m.page_end, seeds_[m.index], CheckoutSpill());
     scan.SetObs(obs_);
     const AccessPathStats stats = Drain(scan, ctx, emit);
     scan.Close();
     sstats_[m.index] = scan.smooth_stats();
+    CheckinSpill(scan.TakeSpill());
     return stats;
   }
 
  private:
+  /// The start a morsel anchored at `anchor` takes after a morsel of `pages`
+  /// pages with `distinct` target pages (density d): the power-of-two region
+  /// R, up to the cap and the morsel, whose aligned windows cost the least
+  /// expected I/O at density d on this device — every window holding a
+  /// target (probability 1 - (1 - d)^R) costs one seek and R - 1 transfers.
+  /// In practice a morsel after a sparse one starts at one page, and one
+  /// after a morsel of M pages with more than about (rand + M) / (rand * M)
+  /// of them targeted (rand in sequential-page units; 0.1 for an HDD and
+  /// 128 pages) reads itself as one extent. Both cost the same at the
+  /// crossover, so the choice has no cliff.
+  SmoothMorselSeed SeedFor(uint64_t distinct, uint64_t pages,
+                           PageId anchor) const {
+    const DeviceProfile& device = index_->heap()->engine()->options().device;
+    const double miss = 1.0 - static_cast<double>(distinct) /
+                                  static_cast<double>(pages);
+    const uint32_t limit =
+        std::min(scan_options_.max_region_pages, morsel_pages_);
+    SmoothMorselSeed seed;
+    seed.anchor = anchor;
+    seed.density_ppm = static_cast<int64_t>(distinct * 1000000 / pages);
+    double best = std::numeric_limits<double>::infinity();
+    for (uint64_t r = 1; r <= limit; r *= 2) {
+      const double windows = static_cast<double>(morsel_pages_) / r;
+      const double cost = windows * (1.0 - std::pow(miss, r)) *
+                          (device.rand_cost + (r - 1) * device.seq_cost);
+      if (cost < best) {
+        best = cost;
+        seed.region_pages = static_cast<uint32_t>(r);
+      }
+    }
+    return seed;
+  }
+
+  /// A warm spill buffer for the next morsel (a fresh one while fewer than
+  /// the running morsels exist), so a morsel's harvest decodes into storage
+  /// earlier morsels grew instead of reallocating its high water.
+  std::vector<Tuple> CheckoutSpill() EXCLUDES(spill_mu_) {
+    latch::LatchGuard lock(spill_mu_);
+    if (spill_stack_.empty()) return {};
+    std::vector<Tuple> spill = std::move(spill_stack_.back());
+    spill_stack_.pop_back();
+    return spill;
+  }
+
+  void CheckinSpill(std::vector<Tuple> spill) EXCLUDES(spill_mu_) {
+    latch::LatchGuard lock(spill_mu_);
+    spill_stack_.push_back(std::move(spill));
+  }
+
   const BPlusTree* index_;
   ScanPredicate predicate_;
   SmoothScanOptions scan_options_;
   uint32_t morsel_pages_;
   const obs::ObsContext* obs_ = nullptr;
   std::vector<std::vector<Tid>> buckets_;
+  /// Per-morsel start; nullopt for morsel 0 and for empty buckets.
+  std::vector<std::optional<SmoothMorselSeed>> seeds_;
   /// Per-morsel operator counters; slot i is written only by morsel i.
   std::vector<SmoothScanStats> sstats_;
+  /// Spill buffers of finished morsels. One per morsel running at once (at
+  /// most the DOP); they outlive Open cycles and die with the kernel.
+  latch::Latch spill_mu_{latch::LatchRank::kSmoothSpill,
+                         "ParallelSmoothScanKernel::spill_mu_"};
+  std::vector<std::vector<Tuple>> spill_stack_ GUARDED_BY(spill_mu_);
 };
 
 }  // namespace

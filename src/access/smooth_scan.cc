@@ -80,13 +80,18 @@ SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
 
 SmoothScan::SmoothScan(const BPlusTree* index, ScanPredicate predicate,
                        SmoothScanOptions options, const std::vector<Tid>& tids,
-                       PageId page_begin, PageId page_end)
+                       PageId page_begin, PageId page_end,
+                       std::optional<SmoothMorselSeed> seed,
+                       std::vector<Tuple> spill)
     : SmoothScan(index, std::move(predicate), std::move(options)) {
   SMOOTHSCAN_CHECK(options_.trigger == MorphTrigger::kEager &&
                    !options_.preserve_order && !options_.shared_group);
   morsel_tids_ = &tids;
   page_begin_ = page_begin;
   page_end_ = page_end;
+  // Mode 1 only: a seed would size regions the operator never fetches.
+  if (options_.enable_flattening) seed_ = seed;
+  emit_ = std::move(spill);
 }
 
 ExecContext SmoothScan::DefaultContext() const {
@@ -96,7 +101,8 @@ ExecContext SmoothScan::DefaultContext() const {
 Status SmoothScan::OpenImpl() {
   sstats_ = SmoothScanStats();
   emit_pos_ = emit_end_ = 0;
-  region_pages_ = 1;
+  region_pages_ = seed_ ? seed_->region_pages : 1;
+  anchor_pending_ = seed_.has_value();
   tuple_cache_.reset();
   result_cache_.reset();
   if (morsel_tids_ == nullptr) {
@@ -165,6 +171,10 @@ Status SmoothScan::OpenImpl() {
   obs::EmitInstant(obs(), "smooth_open", "max_region_pages",
                    options_.max_region_pages, nullptr, 0, nullptr, 0, "policy",
                    MorphPolicyToString(active_policy_));
+  if (seed_) {
+    obs::EmitInstant(obs(), "morsel_seed", "region_pages", seed_->region_pages,
+                     "density_ppm", seed_->density_ppm);
+  }
   // A morsel's entries were collected (and the traversal charged) by the
   // parallel kernel's prolog.
   if (morsel_tids_ == nullptr) it_ = index_->Seek(predicate_.lo, &ctx());
@@ -283,7 +293,12 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   const Schema& schema = heap->schema();
 
   const uint32_t want = options_.enable_flattening ? region_pages_ : 1;
-  const uint32_t count = std::min<uint32_t>(want, page_end_ - target);
+  // The region starts at the target, or (seeded morsel) at the start of the
+  // morsel's region-sized aligned window holding it, so regions tile the
+  // morsel instead of overlapping into fragments.
+  const PageId first =
+      seed_ ? page_begin_ + (target - page_begin_) / want * want : target;
+  const uint32_t count = std::min<uint32_t>(want, page_end_ - first);
   // Fetch only the pages of the region that were not processed before
   // ("pages processed in Mode 1 are skipped in Mode 2"), coalescing
   // contiguous unprocessed pages into single extent requests. In the
@@ -299,13 +314,13 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   auto take_free = [&](uint32_t i) -> bool {
     if (shared == nullptr) return false;
     if (free_guards[i]) return true;
-    const PageId pid = target + i;
+    const PageId pid = first + i;
     if (!shared->cache.IsMarked(pid)) return false;
     free_guards[i] = shared->pool->PinIfResident(shared->file, pid);
     return static_cast<bool>(free_guards[i]);
   };
   for (uint32_t i = 0; i < count;) {
-    if (page_cache_->IsMarked(target + i)) {
+    if (page_cache_->IsMarked(first + i)) {
       ++i;
       continue;
     }
@@ -315,11 +330,11 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
       continue;
     }
     uint32_t run = 1;
-    while (i + run < count && !page_cache_->IsMarked(target + i + run) &&
+    while (i + run < count && !page_cache_->IsMarked(first + i + run) &&
            !take_free(i + run)) {
       ++run;
     }
-    ctx.pool->FetchExtent(heap->file_id(), target + i, run);
+    ctx.pool->FetchExtent(heap->file_id(), first + i, run);
     i += run;
   }
   ++sstats_.probes;
@@ -331,7 +346,7 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
   uint64_t region_pages_seen = 0;
   uint64_t region_result_pages = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    const PageId pid = target + i;
+    const PageId pid = first + i;
     if (page_cache_->IsMarked(pid)) continue;  // Harvested earlier.
     page_cache_->Mark(pid);
     // Publish the probe to peers: the page is fully analyzed and (having
@@ -343,7 +358,7 @@ void SmoothScan::FetchRegionAndHarvest(PageId target, TupleBatch* out) {
 
     // A peer-paid page is read through its already-held shared-pool guard;
     // everything else was charged above and pins the scan's own pool.
-    const uint32_t off = static_cast<uint32_t>(pid - target);
+    const uint32_t off = static_cast<uint32_t>(pid - first);
     const bool free_ride = shared != nullptr && free_guards[off];
     const PageGuard guard =
         free_ride ? PageGuard() : ctx.pool->Pin(heap->file_id(), pid);
@@ -467,6 +482,13 @@ void SmoothScan::NextUnordered(TupleBatch* out) {
       continue;
     }
     if (!HasEntry()) return;
+    if (anchor_pending_) {
+      // A seeded morsel opens on its lowest target page, continuing the
+      // stream its seed positioned just before the morsel.
+      anchor_pending_ = false;
+      FetchRegionAndHarvest(seed_->anchor, out);
+      continue;
+    }
     if (!morphing_) {
       Mode0Step(out);
       continue;

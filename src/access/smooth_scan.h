@@ -173,6 +173,19 @@ struct SmoothScanStats {
   }
 };
 
+/// The start a seeded morsel takes (ParallelSmoothScanKernel): the region
+/// size the observed page density of the preceding morsel justifies, and the
+/// morsel's lowest target page, which anchors its first region so the morsel
+/// starts where its seeded stream stands. A function of the data, the morsel
+/// size and the device profile, never of the DOP.
+struct SmoothMorselSeed {
+  uint32_t region_pages = 1;
+  PageId anchor = 0;
+  /// Observed density the region was derived from (distinct target pages per
+  /// morsel page, in parts per million) — the morsel_seed instant's payload.
+  int64_t density_ppm = 0;
+};
+
 class SmoothScan : public AccessPath {
  public:
   SmoothScan(const BPlusTree* index, ScanPredicate predicate,
@@ -184,15 +197,26 @@ class SmoothScan : public AccessPath {
   /// the index, clips morphing regions at `page_end` and sizes its Page ID
   /// Cache to the range. Eager, unordered and unshared configurations only.
   /// `tids` must outlive the open cycle.
+  ///
+  /// A `seed` (ignored without flattening) starts region growth at
+  /// `seed->region_pages` instead of one page, fetches the region holding
+  /// `seed->anchor` first, and makes every region the region-sized aligned
+  /// window of [page_begin, page_end) that holds its target. Unseeded, the
+  /// morsel runs exactly the serial operator's loop. `spill` is a warm spill
+  /// buffer to harvest into (TakeSpill hands it back after Close).
   SmoothScan(const BPlusTree* index, ScanPredicate predicate,
              SmoothScanOptions options, const std::vector<Tid>& tids,
-             PageId page_begin, PageId page_end);
+             PageId page_begin, PageId page_end,
+             std::optional<SmoothMorselSeed> seed, std::vector<Tuple> spill);
 
   const char* name() const override { return "SmoothScan"; }
 
   const SmoothScanOptions& options() const { return options_; }
   const SmoothScanStats& smooth_stats() const { return sstats_; }
   uint32_t current_region_pages() const { return region_pages_; }
+  /// Moves the spill buffer out, warm (its slots keep their Value storage),
+  /// for the next morsel's scan. Call after Close.
+  std::vector<Tuple> TakeSpill() { return std::move(emit_); }
 
  protected:
   Status OpenImpl() override;
@@ -207,7 +231,8 @@ class SmoothScan : public AccessPath {
   void Mode0Step(TupleBatch* out);
   /// Fires the trigger when the pre-trigger cardinality bound is exceeded.
   void MaybeTrigger();
-  /// Fetches the morphing region anchored at `target` (one I/O request) and
+  /// Fetches the morphing region holding `target` (one I/O request; the
+  /// region starts at `target`, or at its aligned window when seeded) and
   /// harvests all qualifying tuples from unprocessed pages — into `out`
   /// while it has room, spilling the remainder of the region to `emit_` —
   /// then updates the policy state. `out` may be null (ordered mode inserts
@@ -249,6 +274,10 @@ class SmoothScan : public AccessPath {
   size_t next_tid_ = 0;
   PageId page_begin_ = 0;
   PageId page_end_ = 0;
+  /// Set only with flattening: regions are then aligned windows of the
+  /// morsel, the first one holding the anchor.
+  std::optional<SmoothMorselSeed> seed_;
+  bool anchor_pending_ = false;
   std::unique_ptr<PageIdCache> page_cache_;
   std::unique_ptr<TupleIdCache> tuple_cache_;
   std::unique_ptr<ResultCache> result_cache_;

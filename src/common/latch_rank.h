@@ -60,6 +60,9 @@ enum class LatchRank : int {
   kObsSampler = 115,    ///< obs::RegistrySampler::mu_ (tick cv). Ranked
                         ///< above kBroker/kObsMetrics: a sampler tick reads
                         ///< broker snapshots and registry gauges under it.
+  kSmoothSpill = 108,   ///< ParallelSmoothScanKernel::spill_mu_ (warm
+                        ///< spill-buffer stack). Pure leaf: a worker holding
+                        ///< nothing pops or pushes one buffer under it.
   kBroker = 110,     ///< MemoryBroker::mu_. BatchPool charges its account
                      ///< scope while holding the pool latch, so the broker
                      ///< sits below the pool.

@@ -327,6 +327,86 @@ TEST_F(AllocationRegression, SmoothScanHarvestAllocatesPerRegionNotPerTuple) {
       << " regions";
 }
 
+// Parallel Smooth Scan morsels harvest into warm spill buffers. A seeded
+// dense morsel reads itself as one region, so most of its tuples spill; the
+// kernel hands each finished morsel's spill buffer to the next morsel (and
+// keeps it across Open cycles) instead of building one per morsel. A warm
+// cycle at 100% then allocates per morsel (its private stream's residency
+// map, Page ID Cache, scan), not per spilled tuple: twice the morsels may
+// cost up to twice the allocations, and stay under one per 100 tuples. A
+// buffer rebuilt per morsel allocates once per spilled tuple.
+//
+// Schedule-proofing: the batch pool is pre-warmed past the scan's total
+// batch count, so no interleaving of producers and consumer reaches a cold
+// batch (whose empty rows would also swap cold slots into the spill); and
+// at most `dop` spill buffers ever exist, so once each has grown every
+// cycle is warm — the gate takes the quietest of five warm cycles, immune
+// to which worker ran which morsel. A narrow table on 32 KiB pages (about
+// 1.6K tuples a page) keeps the per-page residency allocations of the
+// prolog's and the morsels' private pools well below one per 100 tuples.
+TEST_F(AllocationRegression, ParallelSmoothScanSpillStaysWarmAcrossMorsels) {
+  EngineOptions eo;
+  eo.page_size = 32768;
+  eo.buffer_pool_pages = 512;
+  Engine engine(eo);
+  MicroBenchSpec spec;
+  spec.num_tuples = 120000;
+  spec.num_columns = 2;
+  spec.value_max = 4000;
+  spec.seed = 17;
+  const MicroBenchDb db(&engine, spec);
+  const ScanPredicate pred = db.PredicateForSelectivity(1.0);
+  BatchPool pool;
+  {
+    std::vector<PooledBatch> warm;
+    FullScan filler(&db.heap(), pred);
+    while (warm.size() < spec.num_tuples / kDefaultBatchSize + 16) {
+      ASSERT_TRUE(filler.Open().ok());
+      for (PooledBatch b = pool.Acquire(); filler.NextBatch(b.get());
+           b = pool.Acquire()) {
+        warm.push_back(std::move(b));
+      }
+      filler.Close();
+    }
+  }
+  auto warm_cycle_allocs = [&](uint32_t morsel_pages, size_t* morsels) {
+    ParallelScanOptions po = Par(2);
+    po.morsel_pages = morsel_pages;
+    po.batch_pool = &pool;
+    auto par =
+        MakeParallelSmoothScan(&db.index(), pred, SmoothScanOptions(), po);
+    TupleBatch batch;
+    uint64_t quietest = UINT64_MAX;
+    for (int cycle = 0; cycle < 6; ++cycle) {
+      const uint64_t before = AllocCount();
+      EXPECT_TRUE(par->Open().ok());
+      *morsels = par->num_morsels();
+      uint64_t tuples = 0;
+      while (par->NextBatch(&batch)) tuples += batch.size();
+      par->Close();
+      const uint64_t allocs = AllocCount() - before;
+      EXPECT_EQ(tuples, spec.num_tuples);
+      if (cycle > 0) quietest = std::min(quietest, allocs);  // 0 is cold.
+    }
+    return quietest;
+  };
+  size_t few = 0;
+  size_t many = 0;
+  const uint64_t few_allocs = warm_cycle_allocs(16, &few);
+  const uint64_t many_allocs = warm_cycle_allocs(8, &many);
+  ASSERT_GE(few, 4u) << "too few morsels";
+  ASSERT_GE(many, 2 * few - 1);
+  EXPECT_LT(few_allocs, spec.num_tuples / 100)
+      << few_allocs << " allocations over " << few << " morsels";
+  EXPECT_LT(many_allocs, spec.num_tuples / 100)
+      << many_allocs << " allocations over " << many << " morsels";
+  // Per morsel, not per tuple: the same tuples cut into twice the morsels
+  // may cost up to twice the allocations.
+  EXPECT_LE(many_allocs, 2 * few_allocs + 64)
+      << few_allocs << " allocations over " << few << " morsels, "
+      << many_allocs << " over " << many;
+}
+
 // ---------------------------------------------------------------------------
 // Cost differentials: recycling and governance never change simulated cost.
 // ---------------------------------------------------------------------------

@@ -483,6 +483,49 @@ TEST(MorphTimelineTest, TracedSmoothScanEmitsMorphInstants) {
   EXPECT_GE(snap.Value("smooth.region_grows"), 1.0);
 }
 
+// Every parallel Smooth Scan morsel after the first starts from the density
+// the prolog observed in the morsel before it, and says so: one morsel_seed
+// instant per seeded morsel, carrying the starting region and the density.
+TEST(MorphTimelineTest, SeededMorselsEachEmitOneSeedInstant) {
+  EngineOptions eo;
+  eo.buffer_pool_pages = 256;
+  Engine engine(eo);
+  MicroBenchSpec dbspec;
+  dbspec.num_tuples = 20000;
+  dbspec.value_max = 4000;
+  dbspec.seed = 17;
+  MicroBenchDb db(&engine, dbspec);
+  obs::TraceCollector collector;
+  obs::ObsContext obs;
+  obs.trace = &collector;
+  obs.query_id = 7;
+  ParallelScanOptions po;
+  po.dop = 2;
+  po.morsel_pages = 32;
+  // 30% selectivity: every page is a target, so every morsel but the first
+  // is seeded, with the whole-morsel region a fully targeted predecessor
+  // justifies.
+  std::unique_ptr<ParallelScan> path = MakeParallelSmoothScan(
+      &db.index(), db.PredicateForSelectivity(0.3), SmoothScanOptions(), po);
+  path->SetObs(&obs);
+  ASSERT_TRUE(path->Open().ok());
+  const size_t morsels = path->num_morsels();
+  TupleBatch batch;
+  while (path->NextBatch(&batch)) {
+  }
+  path->Close();
+  ASSERT_GE(morsels, 3u);
+  const std::string json = collector.ExportJson();
+  size_t seeds = 0;
+  for (size_t at = json.find("\"morsel_seed\""); at != std::string::npos;
+       at = json.find("\"morsel_seed\"", at + 1)) {
+    ++seeds;
+  }
+  EXPECT_EQ(seeds, morsels - 1);
+  EXPECT_NE(json.find("\"density_ppm\":1000000"), std::string::npos);
+  EXPECT_NE(json.find("\"region_pages\":32"), std::string::npos);
+}
+
 TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
   EngineOptions eo;
   eo.buffer_pool_pages = 256;
