@@ -93,9 +93,9 @@ int main() {
     FullScan original(&lineitem, pred);
     const double t_original = MeasureCold(&engine, [&]() -> uint64_t {
                                 SMOOTHSCAN_CHECK(original.Open().ok());
-                                Tuple t;
+                                TupleBatch b;
                                 uint64_t n = 0;
-                                while (original.Next(&t)) ++n;
+                                while (original.NextBatch(&b)) n += b.size();
                                 return n;
                               }).total_time;
 
@@ -122,9 +122,9 @@ int main() {
         choice.kind, &index, pred, false, choice.estimated_cardinality);
     const double t_tuned = MeasureCold(&engine, [&]() -> uint64_t {
                              SMOOTHSCAN_CHECK(tuned->Open().ok());
-                             Tuple t;
+                             TupleBatch b;
                              uint64_t n = 0;
-                             while (tuned->Next(&t)) ++n;
+                             while (tuned->NextBatch(&b)) n += b.size();
                              return n;
                            }).total_time;
 

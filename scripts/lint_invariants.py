@@ -44,6 +44,12 @@ one of the engine's structural invariants:
                      takes a batch by pointer and hands back a recycled one,
                      so a moved-away batch reintroduces the per-tuple
                      allocation the stream removed.
+  path-construction  No access-path construction (make_unique of an
+                     access path class, or a MakeParallel*Scan( factory
+                     call) in src/engine/, src/net/, src/workload/ or
+                     src/tpch/: paths are built in one place,
+                     MakePath(PathRequest) in src/plan/, so the fallback,
+                     parallel and sharing decisions are made once.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -157,6 +163,18 @@ RULES = [
         "message": "batch moved into the result stream (Push(&batch) and "
                    "refill the recycled batch it hands back)",
         "applies": lambda rel: rel.startswith("engine" + os.sep),
+    },
+    {
+        "name": "path-construction",
+        "pattern": re.compile(
+            r"\bmake_unique\s*<\s*(?:FullScan|IndexScan|SortScan|SwitchScan"
+            r"|SmoothScan|CompressedScan|SharedScanPath)\s*>"
+            r"|\bMakeParallel\w+Scan\("
+        ),
+        "message": "access path built outside the builder (call "
+                   "MakePath(PathRequest) from src/plan/)",
+        "applies": lambda rel: rel.startswith(tuple(
+            d + os.sep for d in ("engine", "net", "workload", "tpch"))),
     },
 ]
 

@@ -123,6 +123,24 @@ class LintTest(unittest.TestCase):
                    "stream_->Push(std::move(b));  // lint:allow(hot-decode)\n")
         self.assertEqual(self.names(["hot-decode"]), ["hot-decode"] * 5)
 
+    def test_path_construction_fires_above_the_builder_only(self):
+        build = ("auto a = std::make_unique<FullScan>(heap, pred);\n"
+                 "auto b = std::make_unique<SharedScanPath>(s, heap, pred);\n"
+                 "auto c = MakeParallelCompressedScan(e, x, pred, o, po);\n")
+        self.write("engine/query_engine.cc", build)
+        self.write("net/server.cc",
+                   "auto d = std::make_unique< SmoothScan >(ix, pred, o);\n")
+        self.write("workload/driver.cc",
+                   "auto e = MakeParallelFullScan(heap, pred, o, po);\n")
+        self.write("tpch/queries.cc",
+                   "auto f = std::make_unique<IndexScan>(ix, pred);\n"
+                   "// lint:allow(path-construction) — an unindexed heap.\n"
+                   "auto g = std::make_unique<FullScan>(&heap, pred);\n"
+                   "auto h = std::make_unique<ScanOp>(MakePath(r).path);\n")
+        self.write("plan/access_path_chooser.cc", build)  # The builder.
+        self.write("bench/fig.cc", build)  # Outside the rule's scope.
+        self.assertEqual(self.names(), ["path-construction"] * 6)
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

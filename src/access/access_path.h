@@ -1,11 +1,11 @@
 // AccessPath: the common interface of every access path operator (Full Scan,
-// Index Scan, Sort Scan, Switch Scan, Smooth Scan). The substrate is
-// *batch-first*: NextBatch() is the native producing call and fills up to a
-// TupleBatch of qualifying tuples per virtual dispatch; Next() remains as a
-// thin compatibility adapter that drains an internal batch one tuple at a
-// time. All I/O flows through the engine's buffer pool and all CPU work
-// through its meter (charged per batch, amortized), so a caller can diff
-// engine counters around a scan to obtain the paper's measurements.
+// Index Scan, Sort Scan, Switch Scan, Smooth Scan, and their morsel-parallel,
+// shared and compressed variants). The substrate is *batch-first*:
+// NextBatch() is the only producing call and fills up to a TupleBatch of
+// qualifying tuples per virtual dispatch. All I/O flows through the buffer
+// pool and all CPU work through the meter of the path's ExecContext (the
+// engine's by default; charged per batch, amortized), so a caller can diff
+// those counters around a scan to obtain the paper's measurements.
 //
 // Lifecycle contract:
 //   * Open() — prepares the scan and RESETS all iteration state and stats.
@@ -16,10 +16,6 @@
 //   * NextBatch(b) — clears `b`, then appends up to b->capacity() qualifying
 //     tuples. Returns true iff at least one tuple was appended; false means
 //     end of stream (and stays false until re-Open).
-//   * Next(t) — equivalent tuple-at-a-time view over the same batch stream.
-//     Mixing Next() and NextBatch() on one scan is supported; tuples buffered
-//     by the adapter are handed to NextBatch first so none is lost or
-//     duplicated.
 //   * Close() — releases scan state: drops PageGuard pins, index iterators,
 //     auxiliary caches and any buffered tuples. Idempotent, and safe to
 //     follow with a re-Open(). Page references obtained inside the scan are
@@ -27,9 +23,13 @@
 //     against concurrent eviction until released here or at end of batch.
 //   * stats() — counters of the CURRENT Open() cycle (Open resets them).
 //     Read them before re-Open.
+//   * SetExecContext(ctx) / SetObs(o) — before Open(): every charge of the
+//     cycle lands in `ctx` and every emission in `o`. A parallel path obeys
+//     the same contract; its morsel streams settle into `ctx` by the end of
+//     the stream or at Close().
 //
 // Implementations override OpenImpl / NextBatchImpl / CloseImpl; the base
-// class owns the adapter buffering and the end-of-stream latch.
+// class owns the end-of-stream latch.
 
 #ifndef SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
 #define SMOOTHSCAN_ACCESS_ACCESS_PATH_H_
@@ -37,7 +37,6 @@
 #include <cstdint>
 
 #include "access/predicate.h"
-#include "common/batch_carry.h"
 #include "common/status.h"
 #include "common/tuple_batch.h"
 #include "obs/obs_context.h"
@@ -67,9 +66,6 @@ class AccessPath {
   /// Fills `out` with up to out->capacity() qualifying tuples. Returns false
   /// at end of stream (with `out` empty).
   bool NextBatch(TupleBatch* out);
-
-  /// Tuple-at-a-time adapter over NextBatch(). Returns false at end.
-  bool Next(Tuple* out);
 
   /// Releases scan state (see contract). Idempotent; re-Open is safe.
   void Close();
@@ -113,7 +109,7 @@ class AccessPath {
   AccessPathStats stats_;
 
  private:
-  BatchCarry carry_;  ///< Shared adapter buffering (see batch_carry.h).
+  bool exhausted_ = false;  ///< End of stream latched until re-Open.
   const ExecContext* ctx_override_ = nullptr;
   const obs::ObsContext* obs_ = nullptr;
   ExecContext ctx_;

@@ -8,6 +8,7 @@
 
 #include "access/index_scan.h"
 #include "index/bplus_tree.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace smoothscan {
@@ -34,24 +35,12 @@ uint32_t AlignMorselPages(uint32_t morsel_pages, uint32_t read_ahead) {
 ParallelScan::ParallelScan(Engine* engine,
                            std::unique_ptr<ParallelScanKernel> kernel,
                            ParallelScanOptions options)
-    : engine_(engine), kernel_(std::move(kernel)), options_(options) {
+    : engine_(engine),
+      kernel_(std::move(kernel)),
+      options_(options),
+      pool_(options_.batch_pool) {
   SMOOTHSCAN_CHECK(options_.dop >= 1);
   SMOOTHSCAN_CHECK(options_.morsel_pages >= 1);
-  // Half-redirected accounting would silently split a query's charges
-  // between its private stack and the engine's shared stream.
-  SMOOTHSCAN_CHECK((options_.account_disk == nullptr) ==
-                   (options_.account_cpu == nullptr));
-  if (options_.batch_pool != nullptr) {
-    pool_ = options_.batch_pool;
-  } else {
-    // Owned pool lives as long as the operator, not one Open cycle, so a
-    // re-Open starts with every batch of the previous cycle warm.
-    BatchPoolOptions pool_options;
-    pool_options.recycle = options_.recycle_batches;
-    pool_options.metrics = options_.batch_metrics;
-    owned_pool_ = std::make_unique<BatchPool>(pool_options, options_.mem);
-    pool_ = owned_pool_.get();
-  }
 }
 
 ParallelScan::~ParallelScan() {
@@ -105,13 +94,33 @@ Status ParallelScan::OpenImpl() {
   // Observability bind before Plan, mirroring the serial operators'
   // resolve-at-Open (the engine SetObs()s the path before Open).
   kernel_->BindObs(obs());
+  if (pool_ == nullptr) {
+    // Owned pool lives as long as the operator, not one Open cycle, so a
+    // re-Open starts with every batch of the previous cycle warm.
+    BatchPoolOptions pool_options;
+    pool_options.recycle = options_.recycle_batches;
+    if (obs() != nullptr && obs()->metrics != nullptr) {
+      obs::MetricsRegistry* m = obs()->metrics;
+      pool_options.metrics = {
+          m->counter("batchpool.acquires"), m->counter("batchpool.reuses"),
+          m->counter("batchpool.releases"), m->counter("batchpool.sheds")};
+    }
+    owned_pool_ = std::make_unique<BatchPool>(pool_options, ctx().mem);
+    pool_ = owned_pool_.get();
+  }
+  settle_ = ctx();
+  // Every stream of the cycle mirrors and reports like the context's pool.
+  auto make_stream = [this] {
+    auto mc = std::make_unique<MorselContext>(engine_, ctx().pool->mirror());
+    mc->pool().SetMetricsSink(ctx().pool->metrics_sink());
+    mc->SetBatchPool(pool_);
+    mc->SetMemScope(ctx().mem);
+    return mc;
+  };
 
   // Serial prolog on the planning stream. Workers are not running yet, so the
   // prolog emits into slot 0 without locking concerns.
-  planning_ = std::make_unique<MorselContext>(engine_, options_.mirror_pool);
-  planning_->pool().SetMetricsSink(options_.pool_metrics);
-  planning_->SetBatchPool(pool_);
-  planning_->SetMemScope(options_.mem);
+  planning_ = make_stream();
   std::vector<PooledBatch> prolog;
   std::vector<Morsel> morsels = kernel_->Plan(
       planning_->ctx(),
@@ -130,11 +139,7 @@ Status ParallelScan::OpenImpl() {
   morsel_stats_.resize(morsels.size());
   contexts_.reserve(morsels.size());
   for (size_t i = 0; i < morsels.size(); ++i) {
-    contexts_.push_back(
-        std::make_unique<MorselContext>(engine_, options_.mirror_pool));
-    contexts_.back()->pool().SetMetricsSink(options_.pool_metrics);
-    contexts_.back()->SetBatchPool(pool_);
-    contexts_.back()->SetMemScope(options_.mem);
+    contexts_.push_back(make_stream());
   }
   source_ = std::make_unique<MorselSource>(std::move(morsels));
   if (source_->size() == 0) return Status::OK();
@@ -225,22 +230,14 @@ void ParallelScan::Finalize() {
   finalized_ = true;
   if (group_ != nullptr) group_->Wait();
   // Merge in deterministic order: prolog stream first, then morsel streams by
-  // index. This fixes the floating-point accumulation order, so engine-level
+  // index. This fixes the floating-point accumulation order, so the context's
   // simulated time is bit-identical at any DOP.
-  // lint:allow(ctx-charging) — this IS the settle step: the per-morsel
-  // context streams merge into the engine stream (or the query's private
-  // account) exactly once, in deterministic order.
-  SimDisk* const engine_disk = &engine_->disk();
-  SimDisk* disk = options_.account_disk != nullptr ? options_.account_disk
-                                                   : engine_disk;
-  CpuMeter* cpu = options_.account_cpu != nullptr ? options_.account_cpu
-                                                  : &engine_->cpu();
   stats_ = AccessPathStats();
   Accumulate(&stats_, prolog_stats_);
-  if (planning_ != nullptr) planning_->MergeInto(disk, cpu);
+  if (planning_ != nullptr) planning_->MergeInto(settle_.disk, settle_.cpu);
   for (size_t i = 0; i < contexts_.size(); ++i) {
     Accumulate(&stats_, morsel_stats_[i]);
-    contexts_[i]->MergeInto(disk, cpu);
+    contexts_[i]->MergeInto(settle_.disk, settle_.cpu);
   }
   planning_.reset();
   contexts_.clear();

@@ -20,14 +20,23 @@
 // the whole result before its first batch, and ordered output, non-eager
 // Smooth Scan triggers and the shared Page ID Cache exist only serially.
 //
+// Accounting: a ParallelScan is charged like any AccessPath — through the
+// ExecContext it runs against (SetExecContext, or the engine's by default).
+// Its morsel streams settle into that context's disk and CPU meter; its
+// morsel and planning pools mirror the context pool's mirror and feed its
+// metrics sink; its owned BatchPool, built at the first Open, charges the
+// context's memory account. Nothing above the scan needs to know it is
+// parallel.
+//
 // Determinism: because the decomposition is DOP-independent and every
 // morsel's accounting is stream-local, the simulated cost of a parallel scan
-// is bit-identical at any degree of parallelism — contexts merge into the
-// engine in morsel order, fixing even the floating-point summation order.
+// is bit-identical at any degree of parallelism — streams settle into the
+// context in morsel order, fixing even the floating-point summation order.
 // For the page-range FullScan decomposition the per-morsel streams are seeded
 // at `page_begin - 1` (the position the serial scan would have), making the
-// parallel cost bit-identical to the *serial* scan as well. Wall-clock time
-// is the only thing the workers change.
+// parallel I/O charges bit-identical to the *serial* scan's in the same
+// context as well (CPU time equal up to float summation order). Wall-clock
+// time is the only thing the workers change.
 //
 // Ordering: workers emit morsel-locally in scan order, and the consumer sees
 // morsels in index order, so a page-range decomposition yields heap order and
@@ -76,34 +85,14 @@ struct ParallelScanOptions {
   uint32_t max_key_morsels = 32;
   /// Optional shared worker pool; the scan owns a private one when null.
   TaskScheduler* scheduler = nullptr;
-  /// Where the settled per-morsel accounting merges (both set, or neither —
-  /// enforced). Null: the engine's shared stream, as before. The multi-query
-  /// engine points these at the query's private stack so that concurrent
-  /// queries never interleave their merges into one meter.
-  SimDisk* account_disk = nullptr;
-  CpuMeter* account_cpu = nullptr;
-  /// Optional shared pool mirrored by every morsel (and planning) pool, so a
-  /// parallel query's residency and pins land in it too (no accounting
-  /// there). See BufferPool::SetMirror.
-  BufferPool* mirror_pool = nullptr;
   /// Recycled-batch pool the kernels draw output batches from. Null: the
-  /// scan owns a private pool that persists across Open cycles (steady-state
-  /// reuse). An external pool lets one query's operators share a free list.
+  /// scan owns a private pool, built at the first Open and kept across Open
+  /// cycles (steady-state reuse). An external pool lets one query's
+  /// operators share a free list.
   BatchPool* batch_pool = nullptr;
-  /// Per-query execution-memory account charged for the owned pool's warm
-  /// batches (ignored when `batch_pool` is external — that pool already has
-  /// its own account). Accounting only; simulated cost never changes.
-  QueryMemoryScope* mem = nullptr;
   /// Ablation knob for the owned pool: false reverts to allocate-per-batch
   /// (bench_mem_governance's baseline). No effect on an external pool.
   bool recycle_batches = true;
-  /// Registry counters for the owned batch pool (ignored for an external
-  /// pool, which carries its own sink in its own options).
-  BatchPoolMetricsSink batch_metrics;
-  /// Registry counters fed by every morsel (and planning) pool's hit/miss
-  /// bumps — the pools that actually do accounting; the mirror pool does
-  /// none. Relaxed counter adds only; simulated cost never changes.
-  BufferPoolMetricsSink pool_metrics;
 };
 
 /// The path-specific logic of a parallel scan. Plan() runs serially on the
@@ -169,7 +158,8 @@ class ParallelScan : public AccessPath {
   /// Valid after Open().
   size_t num_morsels() const { return source_ != nullptr ? source_->size() : 0; }
   const ParallelScanKernel* kernel() const { return kernel_.get(); }
-  /// The batch pool the kernels draw from (owned or external).
+  /// The batch pool the kernels draw from (owned or external; an owned pool
+  /// exists from the first Open on).
   const BatchPool* batch_pool() const { return pool_; }
   /// The morsel dispenser of the current/last Open cycle (fill-rate
   /// telemetry and SuggestMorselPages live here). Null before first Open.
@@ -194,8 +184,9 @@ class ParallelScan : public AccessPath {
 
   TaskScheduler* scheduler();
   void EmitTo(size_t slot, PooledBatch&& batch) EXCLUDES(mu_);
-  /// Waits for the workers and merges all stream accounting into the engine
-  /// (planning first, then morsels in index order). Idempotent per cycle.
+  /// Waits for the workers and merges all stream accounting into the
+  /// cycle's context (planning first, then morsels in index order).
+  /// Idempotent per cycle.
   void Finalize();
 
   Engine* engine_;
@@ -204,6 +195,8 @@ class ParallelScan : public AccessPath {
   std::unique_ptr<TaskScheduler> owned_scheduler_;
   std::unique_ptr<BatchPool> owned_pool_;
   BatchPool* pool_ = nullptr;
+  /// The context the current cycle settles into (ctx() as of its Open).
+  ExecContext settle_;
 
   std::unique_ptr<MorselSource> source_;
   std::unique_ptr<MorselContext> planning_;

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compress/compressed_scan.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
-#include "sharing/shared_scan_path.h"
+#include "sharing/scan_sharing.h"
 #include "storage/buffer_pool.h"
 
 namespace smoothscan {
@@ -92,10 +91,12 @@ QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
     h_queue_wait_us_ = r->histogram("engine.queue_wait_us");
     h_exec_us_ = r->histogram("engine.exec_us");
     h_latency_us_ = r->histogram("engine.latency_us");
-    c_bpool_acquires_ = r->counter("batchpool.acquires");
-    c_bpool_reuses_ = r->counter("batchpool.reuses");
-    c_bpool_releases_ = r->counter("batchpool.releases");
-    c_bpool_sheds_ = r->counter("batchpool.sheds");
+    // Fed by the parallel leaves' batch pools, which resolve them at their
+    // first Open; registered here so a snapshot lists them from the start.
+    for (const char* name : {"batchpool.acquires", "batchpool.reuses",
+                             "batchpool.releases", "batchpool.sheds"}) {
+      r->counter(name);
+    }
     // Buffer-pool counters: per-query and per-morsel pools (the accounting
     // pools) get this sink at construction; the shared pool gets it here —
     // before the executors spawn, so no fetch can race the attach — for the
@@ -413,35 +414,40 @@ bool QueryEngine::ShareEligible(const QuerySpec& spec) const {
       !spec.allow_sharing || spec.need_order) {
     return false;
   }
+  // Chooser queries ask the chooser itself (same inputs as Execute will use,
+  // so the verdict matches) — a selective query headed for an index path
+  // must not jump the batch FIFO for a lap it will never join.
+  const CompressedExtentRef extent = CompressedExtentFor(spec);
+  const PathKind kind =
+      PlanKind(spec, /*sharing_available=*/true, extent, nullptr);
   // A serial compressed plan attaches to the sibling file's cooperative
   // scan, so it groups onto a running lap exactly like kSharedScan.
-  const bool compressed_shared =
-      spec.dop == 0 && CompressedExtentFor(spec) != nullptr;
-  if (!spec.use_chooser) {
-    return spec.kind == PathKind::kSharedScan ||
-           (spec.kind == PathKind::kCompressedScan && compressed_shared);
-  }
-  // Chooser queries: ask the chooser itself (same inputs as Execute will
-  // use, so the verdict matches) — a selective query headed for an index
-  // path must not jump the batch FIFO for a lap it will never join.
+  return kind == PathKind::kSharedScan ||
+         (kind == PathKind::kCompressedScan && spec.dop == 0 &&
+          extent != nullptr);
+}
+
+PathKind QueryEngine::PlanKind(const QuerySpec& spec, bool sharing_available,
+                               const CompressedExtentRef& extent,
+                               uint64_t* estimate) const {
+  if (!spec.use_chooser) return spec.kind;
   ChooserOptions copts;
   copts.need_order = spec.need_order;
   copts.dop = std::max<uint32_t>(1, spec.dop);
-  copts.sharing_available = true;
+  copts.sharing_available = sharing_available;
   CompressedPathInfo cinfo;
-  if (CompressedExtentRef extent = CompressedExtentFor(spec)) {
+  if (extent != nullptr) {
     cinfo.pages = extent->num_pages();
     cinfo.tuples = extent->num_tuples;
     cinfo.avg_run_length = extent->avg_run_length();
     copts.compressed = &cinfo;
     copts.cpu = &kChooserCpuModel;
   }
-  const PathKind kind =
+  const PlanChoice choice =
       AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
-                                spec.predicate.lo, spec.predicate.hi, copts)
-          .kind;
-  return kind == PathKind::kSharedScan ||
-         (kind == PathKind::kCompressedScan && compressed_shared);
+                                spec.predicate.lo, spec.predicate.hi, copts);
+  if (estimate != nullptr) *estimate = choice.estimated_cardinality;
+  return choice.kind;
 }
 
 QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
@@ -531,41 +537,8 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   // agree. A publish between planning and here is impossible — publishes
   // need quiescence and we hold a lease.
   const CompressedExtentRef extent = CompressedExtentFor(spec);
-  PathKind kind = spec.kind;
   uint64_t estimate = spec.estimate;
-  if (spec.use_chooser) {
-    ChooserOptions copts;
-    copts.need_order = spec.need_order;
-    copts.dop = std::max<uint32_t>(1, spec.dop);
-    copts.sharing_available = sharing_on;
-    CompressedPathInfo cinfo;
-    if (extent != nullptr) {
-      cinfo.pages = extent->num_pages();
-      cinfo.tuples = extent->num_tuples;
-      cinfo.avg_run_length = extent->avg_run_length();
-      copts.compressed = &cinfo;
-      copts.cpu = &kChooserCpuModel;
-    }
-    const PlanChoice choice =
-        AccessPathChooser::Choose(*spec.stats, *spec.cost_model,
-                                  spec.predicate.lo, spec.predicate.hi, copts);
-    kind = choice.kind;
-    estimate = choice.estimated_cardinality;
-  }
-  if (kind == PathKind::kSharedScan && (!sharing_on || spec.need_order)) {
-    kind = PathKind::kFullScan;  // The exact solo-equivalent plan.
-  }
-  if (kind == PathKind::kCompressedScan && extent == nullptr) {
-    // Graceful staleness: the extent a fixed-kind spec (or an earlier plan)
-    // counted on is gone — invalidated by a publish, never built, or not
-    // keyed on this predicate's column. The heap full scan produces the
-    // identical multiset from the identical snapshot.
-    kind = PathKind::kFullScan;
-    if (c_compressed_fallbacks_ != nullptr) c_compressed_fallbacks_->Add();
-    obs::EmitInstant(obs_ctx, "compressed_fallback", "file",
-                     static_cast<int64_t>(spec.index->heap()->file_id()));
-  }
-  m.kind = kind;
+  const PathKind kind = PlanKind(spec, sharing_on, extent, &estimate);
 
   // Per-query accounting stack; page pins mirror into the shared pool. The
   // private pool is where this query's hits and misses are counted, so it —
@@ -579,81 +552,46 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   QueryMemoryScope mem_scope(options_.broker, options_.query_quota_bytes);
   qctx.SetMemScope(&mem_scope);
 
-  // The morsel-parallel paths' options (used when spec.dop >= 1): they
-  // settle into the query's private stack and draw batches from its memory
-  // account; tracing rides on the path's SetObs below.
-  ParallelScanOptions po;
-  po.dop = spec.dop;
-  po.scheduler = options_.scheduler;
-  po.account_disk = &qctx.disk();
-  po.account_cpu = &qctx.cpu();
-  po.mirror_pool = options_.mirror_pages ? &engine_->pool() : nullptr;
-  po.mem = &mem_scope;
-  po.batch_metrics.acquires = c_bpool_acquires_;
-  po.batch_metrics.reuses = c_bpool_reuses_;
-  po.batch_metrics.releases = c_bpool_releases_;
-  po.batch_metrics.sheds = c_bpool_sheds_;
-  po.pool_metrics = bp_sink_;
-
+  PathRequest request;
+  request.kind = kind;
+  request.index = spec.index;
+  request.predicate = spec.predicate;
+  request.need_order = spec.need_order;
+  request.estimate = estimate;
+  request.dop = spec.dop;
+  request.scheduler = options_.scheduler;
+  request.sharing = sharing_on ? options_.sharing : nullptr;
+  request.extent = extent;
+  request.broker = options_.broker;
+  BuiltPath built = MakePath(request);
+  AccessPath* const path = built.path.get();
+  path->SetExecContext(&qctx.ctx());
+  path->SetObs(obs_ctx);
+  m.kind = built.kind;
+  m.parallel = built.parallel;
+  if (kind == PathKind::kCompressedScan &&
+      built.kind != PathKind::kCompressedScan) {
+    // Graceful staleness: the extent a fixed-kind spec (or an earlier plan)
+    // counted on is gone — invalidated by a publish, never built, or not
+    // keyed on this predicate's column.
+    if (c_compressed_fallbacks_ != nullptr) c_compressed_fallbacks_->Add();
+    obs::EmitInstant(obs_ctx, "compressed_fallback", "file",
+                     static_cast<int64_t>(spec.index->heap()->file_id()));
+  }
   const FileId table = spec.index->heap()->file_id();
-  bool shared_run = kind == PathKind::kSharedScan;
-  std::unique_ptr<AccessPath> path;
-  if (shared_run) {
-    path = std::make_unique<SharedScanPath>(
-        options_.sharing, spec.index->heap(), spec.predicate);
-    path->SetExecContext(&qctx.ctx());
+  if (built.shared) {
     // Visible to the share-aware batch pop while this scan is in flight.
+    // Registered under the *table* id (a shared compressed scan too), so
+    // same-table arrivals group onto the lap.
     latch::LatchGuard lock(mu_);
     ++running_shared_[table];
-  } else if (kind == PathKind::kCompressedScan) {
-    if (spec.dop >= 1) {
-      path = MakeParallelCompressedScan(engine_, extent, spec.predicate,
-                                        CompressedScanOptions(), po);
-      m.parallel = path != nullptr;
-    } else if (sharing_on) {
-      // Shared-compressed: join (or start) the cooperative circular scan
-      // over the sibling extent. Registered under the *table* id so the
-      // share-aware batch pop groups same-table arrivals onto the lap.
-      path = std::make_unique<CompressedScan>(options_.sharing, extent,
-                                              spec.predicate);
-      path->SetExecContext(&qctx.ctx());
-      shared_run = true;
-      latch::LatchGuard lock(mu_);
-      ++running_shared_[table];
-    }
-    if (path == nullptr) {
-      path = std::make_unique<CompressedScan>(engine_, extent,
-                                              spec.predicate);
-      path->SetExecContext(&qctx.ctx());
-    }
-  } else if (kind == PathKind::kSmoothScan && sharing_on && spec.dop == 0) {
-    // Shared-SmoothScan mode: this query feeds (and profits from) the
-    // table's common Page ID Cache. Results are solo-identical; charged I/O
-    // is not — peer-probed resident pages come free, which is the point.
-    SmoothScanOptions so;
-    so.preserve_order = spec.need_order;
-    so.broker = options_.broker;
-    so.shared_group = options_.sharing->SmoothSharingFor(spec.index->heap());
-    path = std::make_unique<SmoothScan>(spec.index, spec.predicate, so);
-    path->SetExecContext(&qctx.ctx());
   }
-  if (path == nullptr && spec.dop >= 1) {
-    path = MakeParallelPath(kind, spec.index, spec.predicate, spec.need_order,
-                            estimate, po);
-    m.parallel = path != nullptr;
-  }
-  if (path == nullptr) {
-    path = MakePath(kind, spec.index, spec.predicate, spec.need_order,
-                    estimate);
-    path->SetExecContext(&qctx.ctx());
-  }
-  path->SetObs(obs_ctx);
 
   {
     // One span per scan regardless of which branch built the path; morph
     // instants and per-morsel worker spans nest (logically) inside it.
     obs::TraceSpan scan_span(options_.tracing, id, "scan", "kind",
-                             static_cast<int64_t>(kind), "dop",
+                             static_cast<int64_t>(built.kind), "dop",
                              static_cast<int64_t>(spec.dop));
     res.status = path->Open();
     if (res.status.ok()) {
@@ -683,7 +621,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
       path->Close();
     }
   }
-  if (shared_run) {
+  if (built.shared) {
     latch::LatchGuard lock(mu_);
     auto it = running_shared_.find(table);
     if (--it->second == 0) running_shared_.erase(it);

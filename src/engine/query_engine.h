@@ -185,9 +185,9 @@ struct QuerySpec {
   std::vector<WriteOp> write_ops;
 
   /// Pick the path with AccessPathChooser over `stats` + `cost_model` (both
-  /// required then); the estimate handed to the path (Switch Scan threshold,
-  /// Smooth Scan trigger) is the chooser's — faithfully wrong when the stats
-  /// are corrupted. When false, `kind` and `estimate` are used as given.
+  /// required then); the estimate handed to the path (Switch Scan's
+  /// threshold) is the chooser's — faithfully wrong when the stats are
+  /// corrupted. When false, `kind` and `estimate` are used as given.
   bool use_chooser = false;
   PathKind kind = PathKind::kSmoothScan;
   const TableStats* stats = nullptr;
@@ -400,6 +400,12 @@ class QueryEngine {
   /// — runs the chooser for use_chooser specs, so a selective query that
   /// will pick an index path never jumps the FIFO for nothing).
   bool ShareEligible(const QuerySpec& spec) const;
+  /// The kind a read plans to run: `spec.kind`, or for use_chooser specs the
+  /// chooser's pick over the spec's statistics (then `*estimate`, when
+  /// given, becomes its cardinality estimate).
+  PathKind PlanKind(const QuerySpec& spec, bool sharing_available,
+                    const CompressedExtentRef& extent,
+                    uint64_t* estimate) const;
   /// The table's published compressed extent, when the tier is enabled and
   /// serves this spec (key-column predicate, no interesting order). Null
   /// otherwise — including right after a publish invalidated it, which is
@@ -409,8 +415,7 @@ class QueryEngine {
   Engine* engine_;
   QueryEngineOptions options_;
   // Registry handles, resolved once in the constructor (all null without
-  // options_.metrics). Engine-level admission telemetry plus the batch-pool
-  // sink handed to every parallel leaf's owned pool.
+  // options_.metrics). Engine-level admission telemetry.
   obs::Counter* c_submitted_ = nullptr;
   obs::Counter* c_completed_ = nullptr;
   obs::Counter* c_cancelled_ = nullptr;
@@ -420,10 +425,6 @@ class QueryEngine {
   obs::Histogram* h_queue_wait_us_ = nullptr;
   obs::Histogram* h_exec_us_ = nullptr;
   obs::Histogram* h_latency_us_ = nullptr;
-  obs::Counter* c_bpool_acquires_ = nullptr;
-  obs::Counter* c_bpool_reuses_ = nullptr;
-  obs::Counter* c_bpool_releases_ = nullptr;
-  obs::Counter* c_bpool_sheds_ = nullptr;
   /// Buffer-pool counters, attached to every pool that does hit/miss
   /// accounting on this engine's behalf: each query's private pool and every
   /// parallel morsel pool. The shared pool gets it too, but only communal

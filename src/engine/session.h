@@ -147,8 +147,8 @@ class QueryBuilder {
     spec_.cost_model = model;
     return *this;
   }
-  /// Cardinality estimate handed to the path (Switch threshold / Smooth
-  /// trigger) when no chooser runs.
+  /// Cardinality estimate handed to the path (Switch Scan's threshold) when
+  /// no chooser runs.
   QueryBuilder& Estimate(uint64_t estimate) {
     spec_.estimate = estimate;
     return *this;

@@ -14,6 +14,8 @@ MergeJoinOp::MergeJoinOp(Engine* engine, std::unique_ptr<Operator> left,
 Status MergeJoinOp::OpenImpl() {
   SMOOTHSCAN_RETURN_IF_ERROR(left_->Open());
   SMOOTHSCAN_RETURN_IF_ERROR(right_->Open());
+  left_cursor_.Reset();
+  right_cursor_.Reset();
   right_group_.clear();
   group_valid_ = false;
   group_idx_ = 0;
@@ -40,7 +42,8 @@ bool MergeJoinOp::NextBatchImpl(TupleBatch* out) {
 
 bool MergeJoinOp::AdvanceLeft() {
   const bool had = left_valid_;
-  if (!left_->Next(&left_row_)) return false;
+  if (!left_cursor_.Advance(left_.get())) return false;
+  left_row_ = left_cursor_.Take();
   const int64_t key = left_row_[left_key_col_].AsInt64();
   if (had) SMOOTHSCAN_CHECK(key >= left_last_key_);  // Ordered input.
   left_last_key_ = key;
@@ -49,7 +52,8 @@ bool MergeJoinOp::AdvanceLeft() {
 
 bool MergeJoinOp::AdvanceRight() {
   const bool had = right_valid_;
-  if (!right_->Next(&right_row_)) return false;
+  if (!right_cursor_.Advance(right_.get())) return false;
+  right_row_ = right_cursor_.Take();
   const int64_t key = right_row_[right_key_col_].AsInt64();
   if (had) SMOOTHSCAN_CHECK(key >= right_last_key_);
   right_last_key_ = key;

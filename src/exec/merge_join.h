@@ -36,9 +36,9 @@ class MergeJoinOp : public Operator {
   }
 
  private:
-  /// One merge step: produces the next joined row, or false at end. The
-  /// sides are pulled through their Next() adapters (which are themselves
-  /// batch-backed); output is batched by NextBatchImpl.
+  /// One merge step: produces the next joined row, or false at end. Each
+  /// side is walked a row at a time through its own batch cursor; output is
+  /// batched by NextBatchImpl.
   bool NextRow(Tuple* out);
   bool AdvanceLeft();
   bool AdvanceRight();
@@ -51,6 +51,8 @@ class MergeJoinOp : public Operator {
   int left_key_col_;
   int right_key_col_;
 
+  BatchCursor left_cursor_;
+  BatchCursor right_cursor_;
   Tuple left_row_;
   bool left_valid_ = false;
   int64_t left_last_key_ = 0;

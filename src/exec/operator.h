@@ -1,7 +1,6 @@
 // Volcano-style relational operators layered above access paths, vectorized:
-// like AccessPath, the native producing call is NextBatch() (up to one
-// TupleBatch of output rows per virtual dispatch) and Next() is a thin
-// tuple-at-a-time adapter kept for compatibility. The paper's TPC-H
+// like AccessPath, the producing call is NextBatch() (up to one TupleBatch of
+// output rows per virtual dispatch). The paper's TPC-H
 // experiments (Fig. 4, Table II) need selections, joins (hash, merge and
 // index-nested-loops), aggregation, sorting and projection; the concrete
 // operators provide exactly that, with all CPU work charged to the engine's
@@ -18,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/batch_carry.h"
 #include "common/status.h"
 #include "common/tuple_batch.h"
 #include "storage/schema.h"
@@ -32,7 +30,6 @@ class Operator {
 
   Status Open();
   bool NextBatch(TupleBatch* out);
-  bool Next(Tuple* out);
   void Close();
   virtual const char* name() const = 0;
 
@@ -42,7 +39,7 @@ class Operator {
   virtual void CloseImpl() {}
 
  private:
-  BatchCarry carry_;  ///< Shared adapter buffering (see batch_carry.h).
+  bool exhausted_ = false;  ///< End of stream latched until re-Open.
 };
 
 /// Cursor over a child operator's batch stream, for probe-style consumers
@@ -73,6 +70,8 @@ class BatchCursor {
 
   /// The current row; valid only after Advance() returned true.
   const Tuple& row() const { return batch_.row(idx_); }
+  /// Moves the current row out (row() is moved-from until the next Advance).
+  Tuple Take() { return batch_.Take(idx_); }
 
  private:
   TupleBatch batch_;

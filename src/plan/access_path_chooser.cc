@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "compress/compressed_scan.h"
+#include "sharing/scan_sharing.h"
+#include "sharing/shared_scan_path.h"
+
 namespace smoothscan {
 
 const char* PathKindToString(PathKind kind) {
@@ -155,42 +159,98 @@ PlanChoice AccessPathChooser::Choose(const TableStats& stats,
   return choice;
 }
 
-std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
-                                     const ScanPredicate& predicate,
-                                     bool need_order, uint64_t estimate) {
-  switch (kind) {
+BuiltPath MakePath(const PathRequest& r) {
+  const HeapFile* heap = r.index->heap();
+  BuiltPath built;
+  built.kind = r.kind;
+  // Without its coordinator (or under an order requirement) a shared scan,
+  // and without its extent — never built, not keyed on this column, or
+  // invalidated by a publish after planning — a compressed scan, is a heap
+  // full scan: the identical multiset from the identical snapshot.
+  if ((r.kind == PathKind::kSharedScan &&
+       (r.sharing == nullptr || r.need_order)) ||
+      (r.kind == PathKind::kCompressedScan && r.extent == nullptr)) {
+    built.kind = PathKind::kFullScan;
+  }
+  if (r.dop >= 1) {
+    ParallelScanOptions po;
+    po.dop = r.dop;
+    po.scheduler = r.scheduler;
+    if (built.kind == PathKind::kCompressedScan) {
+      built.path = MakeParallelCompressedScan(heap->engine(), r.extent,
+                                              r.predicate,
+                                              CompressedScanOptions(), po);
+    } else {
+      built.path = MakeParallelPath(built.kind, r.index, r.predicate,
+                                    r.need_order, r.estimate, po);
+    }
+    built.parallel = built.path != nullptr;
+    if (built.parallel) return built;
+  }
+  switch (built.kind) {
     case PathKind::kFullScan:
-      return std::make_unique<FullScan>(index->heap(), predicate);
+      built.path = std::make_unique<FullScan>(heap, r.predicate);
+      break;
     case PathKind::kIndexScan:
-      return std::make_unique<IndexScan>(index, predicate);
+      built.path = std::make_unique<IndexScan>(r.index, r.predicate);
+      break;
     case PathKind::kSortScan: {
       SortScanOptions options;
-      options.preserve_order = need_order;
-      return std::make_unique<SortScan>(index, predicate, options);
+      options.preserve_order = r.need_order;
+      built.path = std::make_unique<SortScan>(r.index, r.predicate, options);
+      break;
     }
     case PathKind::kSwitchScan: {
       SwitchScanOptions options;
-      options.estimated_cardinality = estimate;
-      return std::make_unique<SwitchScan>(index, predicate, options);
+      options.estimated_cardinality = r.estimate;
+      built.path = std::make_unique<SwitchScan>(r.index, r.predicate, options);
+      break;
     }
     case PathKind::kSmoothScan: {
       SmoothScanOptions options;
-      options.preserve_order = need_order;
-      return std::make_unique<SmoothScan>(index, predicate, options);
+      options.preserve_order = r.need_order;
+      options.broker = r.broker;
+      // Shared-SmoothScan mode: the serial scan feeds (and profits from) the
+      // table's common Page ID Cache. Results are solo-identical; charged
+      // I/O is not — peer-probed resident pages come free, which is the
+      // point. A parallel request that fell back to serial stays solo.
+      if (r.sharing != nullptr && r.dop == 0) {
+        options.shared_group = r.sharing->SmoothSharingFor(heap);
+      }
+      built.path = std::make_unique<SmoothScan>(r.index, r.predicate, options);
+      break;
     }
     case PathKind::kSharedScan:
-      // A shared scan needs the engine's ScanSharingCoordinator (see
-      // sharing/shared_scan_path.h); without one, a plain full scan is the
-      // exact solo-equivalent plan.
-      return std::make_unique<FullScan>(index->heap(), predicate);
+      built.path =
+          std::make_unique<SharedScanPath>(r.sharing, heap, r.predicate);
+      built.shared = true;
+      break;
     case PathKind::kCompressedScan:
-      // The compressed path needs the engine's CompressedExtentMap (see
-      // compress/compressed_scan.h); without one — or once the extent was
-      // invalidated by a publish — the heap full scan produces the identical
-      // multiset from the identical snapshot.
-      return std::make_unique<FullScan>(index->heap(), predicate);
+      if (r.sharing != nullptr) {
+        // Shared-compressed: join (or start) the cooperative circular scan
+        // over the sibling extent.
+        built.path =
+            std::make_unique<CompressedScan>(r.sharing, r.extent, r.predicate);
+        built.shared = true;
+      } else {
+        built.path = std::make_unique<CompressedScan>(heap->engine(), r.extent,
+                                                      r.predicate);
+      }
+      break;
   }
-  return nullptr;
+  return built;
+}
+
+std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
+                                     const ScanPredicate& predicate,
+                                     bool need_order, uint64_t estimate) {
+  PathRequest request;
+  request.kind = kind;
+  request.index = index;
+  request.predicate = predicate;
+  request.need_order = need_order;
+  request.estimate = estimate;
+  return MakePath(request).path;
 }
 
 std::unique_ptr<ParallelScan> MakeParallelPath(
@@ -221,8 +281,8 @@ std::unique_ptr<ParallelScan> MakeParallelPath(
       // stays a serial drain of the cooperative scan.
       return nullptr;
     case PathKind::kCompressedScan:
-      // Needs the extent ref only the QueryEngine holds; it calls
-      // MakeParallelCompressedScan directly.
+      // Needs the extent: MakePath(PathRequest) calls
+      // MakeParallelCompressedScan.
       return nullptr;
   }
   return nullptr;

@@ -2,7 +2,8 @@
 // component whose statistics-sensitivity Smooth Scan removes. Given (possibly
 // corrupted) TableStats it estimates the predicate selectivity, prices Full
 // Scan / Index Scan / Sort Scan with the Section-V cost model and picks the
-// cheapest. MakePath materializes the chosen operator.
+// cheapest. MakePath(PathRequest) is the one place a chosen kind becomes an
+// operator: serial or morsel-parallel, solo or shared, heap or compressed.
 
 #ifndef SMOOTHSCAN_PLAN_ACCESS_PATH_CHOOSER_H_
 #define SMOOTHSCAN_PLAN_ACCESS_PATH_CHOOSER_H_
@@ -15,10 +16,14 @@
 #include "access/smooth_scan.h"
 #include "access/sort_scan.h"
 #include "access/switch_scan.h"
+#include "compress/compressed_extent_map.h"
 #include "cost/cost_model.h"
 #include "plan/table_stats.h"
 
 namespace smoothscan {
+
+class MemoryBroker;
+class ScanSharingCoordinator;
 
 enum class PathKind {
   kFullScan,
@@ -27,13 +32,13 @@ enum class PathKind {
   kSwitchScan,
   kSmoothScan,
   /// Cooperative circular scan shared with concurrent same-table queries
-  /// (src/sharing/). Materialized by the QueryEngine via its
-  /// ScanSharingCoordinator — MakePath cannot build it alone.
+  /// (src/sharing/). Needs PathRequest::sharing; MakePath falls back to
+  /// FullScan without it.
   kSharedScan,
   /// Run-encoded scan over the table's compressed sibling extent
-  /// (src/compress/). Materialized by the QueryEngine via its
-  /// CompressedExtentMap — MakePath falls back to FullScan without one (or
-  /// when the extent was invalidated by a publish after planning).
+  /// (src/compress/). Needs PathRequest::extent; MakePath falls back to
+  /// FullScan without one (or when the extent was invalidated by a publish
+  /// after planning).
   kCompressedScan,
 };
 
@@ -109,18 +114,60 @@ class AccessPathChooser {
                            const ChooserOptions& options);
 };
 
-/// Materializes an access path of `kind` over `index` (its heap) with
-/// `predicate`. `estimate` parameterizes Switch Scan's threshold and Smooth
-/// Scan's optimizer-driven trigger; Smooth Scan defaults to the paper's
-/// preferred Eager + Elastic configuration.
+/// Everything MakePath needs to build a read's access path.
+struct PathRequest {
+  PathKind kind = PathKind::kFullScan;
+  const BPlusTree* index = nullptr;
+  ScanPredicate predicate;
+  /// The consumer requires index-key order.
+  bool need_order = false;
+  /// Switch Scan's cardinality threshold.
+  uint64_t estimate = 0;
+  /// 0: the serial operator. >= 1: the morsel-parallel variant with this
+  /// many workers, or the serial operator when the combination has none.
+  uint32_t dop = 0;
+  /// Worker pool of the parallel variant (null: the scan owns one).
+  TaskScheduler* scheduler = nullptr;
+  /// Cooperative scan sharing (null: solo). Serves kSharedScan, serial
+  /// kCompressedScan and serial Smooth Scan's common Page ID Cache.
+  ScanSharingCoordinator* sharing = nullptr;
+  /// The table's current compressed extent (null: none published).
+  CompressedExtentRef extent;
+  /// Memory broker every Smooth Scan's Result Cache registers with (null:
+  /// ungoverned).
+  MemoryBroker* broker = nullptr;
+};
+
+/// A built access path and what was actually built.
+struct BuiltPath {
+  std::unique_ptr<AccessPath> path;
+  /// The kind built: the requested one, or kFullScan when a shared scan has
+  /// no coordinator (or order is needed) or a compressed scan no extent.
+  PathKind kind = PathKind::kFullScan;
+  /// The morsel-driven parallel variant was built.
+  bool parallel = false;
+  /// The path consumes a cooperative circular scan (shared full or shared
+  /// compressed scan).
+  bool shared = false;
+};
+
+/// Builds the access path for `request` (see PathRequest). The path charges
+/// the engine's context until the caller SetExecContext()s it — a parallel
+/// path included. Smooth Scan is always the paper's preferred Eager + Elastic
+/// configuration.
+BuiltPath MakePath(const PathRequest& request);
+
+/// Serial, solo shorthand: MakePath({kind, index, predicate, need_order,
+/// estimate}).path — kSharedScan and kCompressedScan build a FullScan.
 std::unique_ptr<AccessPath> MakePath(PathKind kind, const BPlusTree* index,
                                      const ScanPredicate& predicate,
                                      bool need_order, uint64_t estimate);
 
 /// Materializes the morsel-driven parallel variant of `kind`, or null when
 /// the combination has no parallel form (order-preserving consumers; the
-/// non-eager Smooth Scan triggers keep their serial operator). `parallel.dop`
-/// may be 1 — the same morsel machinery on one worker, same simulated cost.
+/// non-eager Smooth Scan triggers keep their serial operator; shared and
+/// compressed scans, which MakePath(PathRequest) handles). `parallel.dop` may
+/// be 1 — the same morsel machinery on one worker, same simulated cost.
 std::unique_ptr<ParallelScan> MakeParallelPath(
     PathKind kind, const BPlusTree* index, const ScanPredicate& predicate,
     bool need_order, uint64_t estimate, const ParallelScanOptions& parallel);

@@ -52,8 +52,7 @@ class MorselContext {
   /// `mirror` (optional, typically the engine's shared pool) receives the
   /// morsel's residency and pins — see BufferPool::SetMirror.
   explicit MorselContext(Engine* engine, BufferPool* mirror = nullptr)
-      : engine_(engine),
-        disk_(engine->options().device, engine->options().page_size),
+      : disk_(engine->options().device, engine->options().page_size),
         pool_(&engine->storage(), &disk_, engine->options().buffer_pool_pages,
               /*num_shards=*/1),
         cpu_(engine->options().cpu_costs) {
@@ -77,19 +76,15 @@ class MorselContext {
   BufferPool& pool() { return pool_; }
   CpuMeter& cpu() { return cpu_; }
 
-  /// Folds this stream's accounting into an arbitrary sink (the engine's
-  /// shared stream, or a query's private stack under the multi-query engine).
-  /// Call exactly once per context, in morsel order.
+  /// Folds this stream's accounting into a sink (the disk and CPU meter of
+  /// the parallel scan's ExecContext: the engine's shared stream, or a
+  /// query's private stack). Call exactly once per context, in morsel order.
   void MergeInto(SimDisk* disk, CpuMeter* cpu) {
     disk->Absorb(disk_.stats());
     cpu->Add(cpu_.time());
   }
 
-  /// MergeInto the engine the context was built from.
-  void MergeIntoEngine() { MergeInto(&engine_->disk(), &engine_->cpu()); }
-
  private:
-  Engine* engine_;
   SimDisk disk_;
   BufferPool pool_;
   CpuMeter cpu_;

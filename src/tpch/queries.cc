@@ -20,24 +20,22 @@ std::unique_ptr<Operator> MakeLineitemScan(const TpchDb& db,
                                            PathKind kind, bool need_order,
                                            uint32_t dop,
                                            const AccessPath** out_path) {
-  std::unique_ptr<AccessPath> path;
-  if (dop >= 1) {
-    ParallelScanOptions parallel;
-    parallel.dop = dop;
-    path = MakeParallelPath(kind, &db.lineitem_shipdate_index(), pred,
-                            need_order, /*estimate=*/0, parallel);
-  }
-  if (path == nullptr) {
-    path = MakePath(kind, &db.lineitem_shipdate_index(), pred, need_order,
-                    /*estimate=*/0);
-  }
+  PathRequest request;
+  request.kind = kind;
+  request.index = &db.lineitem_shipdate_index();
+  request.predicate = pred;
+  request.need_order = need_order;
+  request.dop = dop;
+  std::unique_ptr<AccessPath> path = MakePath(request).path;
   *out_path = path.get();
   return std::make_unique<ScanOp>(std::move(path));
 }
 
-/// Trivially-true scan over a dimension table (always a full scan).
+/// Trivially-true scan over a dimension table (always a full scan). The
+/// dimension tables carry no index, which MakePath needs.
 std::unique_ptr<Operator> DimScan(const HeapFile& heap) {
   return std::make_unique<ScanOp>(
+      // lint:allow(path-construction) — an unindexed heap.
       std::make_unique<FullScan>(&heap, ScanPredicate{}));
 }
 

@@ -155,12 +155,11 @@ TEST_F(CompressedTierTest, SerialSharedParallelMatchFullScanForFewerFetches) {
     EXPECT_LT(shared_run.io.pages_read, full_run.io.pages_read)
         << "sel=" << sel;
 
-    // Policy 3: morsel-parallel compressed scan.
+    // Policy 3: morsel-parallel compressed scan, charged to its context
+    // like any path (Run sets it).
     QueryContext par_ctx(engine_.get());
     ParallelScanOptions po;
     po.dop = 2;
-    po.account_disk = &par_ctx.disk();
-    po.account_cpu = &par_ctx.cpu();
     std::unique_ptr<ParallelScan> par = MakeParallelCompressedScan(
         engine_.get(), extent_, pred, CompressedScanOptions(), po);
     ASSERT_NE(par, nullptr);
@@ -438,8 +437,6 @@ TEST_F(CompressedTierTest, ParallelAccountingBitIdenticalAtDop128) {
     QueryContext qctx(engine_.get());
     ParallelScanOptions po;
     po.dop = dop;
-    po.account_disk = &qctx.disk();
-    po.account_cpu = &qctx.cpu();
     std::unique_ptr<ParallelScan> par = MakeParallelCompressedScan(
         engine_.get(), extent_, pred, CompressedScanOptions(), po);
     ASSERT_NE(par, nullptr);

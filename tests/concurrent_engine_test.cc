@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -456,6 +457,42 @@ TEST_F(ConcurrentEngineTest, CancelMidExecutionDetachesSharedConsumer) {
     const std::multiset<int64_t> got(r.keys.begin(), r.keys.end());
     EXPECT_EQ(got, oracle);
   }
+}
+
+// An ordered Smooth Scan's Result Cache registers with the engine's memory
+// broker whether or not the engine shares scans: every Smooth Scan the
+// engine builds is handed the broker, not only the shared-mode one.
+TEST_F(ConcurrentEngineTest, ResultCacheGovernedWithoutSharing) {
+  MemoryBroker broker;
+  QueryEngineOptions qeo;
+  qeo.broker = &broker;
+  QueryEngine qe(engine_.get(), qeo);
+  SessionOptions so;
+  so.stream_batches = 1;
+  Session session(&qe, so);
+  QueryHandle handle = session.Query()
+                           .Table(&db_->index())
+                           .Predicate(db_->PredicateForSelectivity(0.3))
+                           .Policy(PathKind::kSmoothScan)
+                           .Ordered()
+                           .Stream()
+                           .Submit();
+  TupleBatch batch;
+  ASSERT_TRUE(handle.NextBatch(&batch));
+  // About nine batches in all: the executor is parked on the one-batch
+  // stream window with the scan, and its Result Cache, still open.
+  uint64_t cache_peak = 0;
+  size_t caches = 0;
+  for (const MemoryConsumerStats& c : broker.ConsumerSnapshots()) {
+    if (c.name != "result_cache") continue;
+    ++caches;
+    cache_peak = std::max(cache_peak, c.peak_bytes);
+  }
+  while (handle.NextBatch(&batch)) {
+  }
+  ASSERT_TRUE(handle.Wait().status.ok());
+  EXPECT_EQ(caches, 1u);
+  EXPECT_GT(cache_peak, 0u);
 }
 
 TEST(LatencyPercentileTest, NearestRank) {

@@ -71,11 +71,14 @@ TEST(MergeJoinTest, BasicEquiJoin) {
   MergeJoinOp join(&engine, SortedInts({1, 2, 3, 5}), SortedInts({2, 3, 4, 5}),
                    0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
+  TupleBatch batch;
   int rows = 0;
-  while (join.Next(&t)) {
-    EXPECT_EQ(t[0].AsInt64(), t[2].AsInt64());
-    ++rows;
+  while (join.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      EXPECT_EQ(t[0].AsInt64(), t[2].AsInt64());
+      ++rows;
+    }
   }
   EXPECT_EQ(rows, 3);  // Keys 2, 3, 5.
 }
@@ -84,29 +87,29 @@ TEST(MergeJoinTest, EmptyInputs) {
   Engine engine;
   MergeJoinOp a(&engine, SortedInts({}), SortedInts({1, 2}), 0, 0);
   SMOOTHSCAN_CHECK(a.Open().ok());
-  Tuple t;
-  EXPECT_FALSE(a.Next(&t));
+  TupleBatch batch;
+  EXPECT_FALSE(a.NextBatch(&batch));
 
   MergeJoinOp b(&engine, SortedInts({1, 2}), SortedInts({}), 0, 0);
   SMOOTHSCAN_CHECK(b.Open().ok());
-  EXPECT_FALSE(b.Next(&t));
+  EXPECT_FALSE(b.NextBatch(&batch));
 }
 
 TEST(MergeJoinTest, NoOverlap) {
   Engine engine;
   MergeJoinOp join(&engine, SortedInts({1, 2, 3}), SortedInts({10, 11}), 0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
-  EXPECT_FALSE(join.Next(&t));
+  TupleBatch batch;
+  EXPECT_FALSE(join.NextBatch(&batch));
 }
 
 TEST(MergeJoinTest, DuplicatesProduceCrossProductPerKey) {
   Engine engine;
   MergeJoinOp join(&engine, SortedInts({7, 7, 7}), SortedInts({7, 7}), 0, 0);
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
+  TupleBatch batch;
   int rows = 0;
-  while (join.Next(&t)) ++rows;
+  while (join.NextBatch(&batch)) rows += batch.size();
   EXPECT_EQ(rows, 6);  // 3 x 2.
 }
 
@@ -127,8 +130,13 @@ TEST(MergeJoinTest, MatchesHashJoinOnRandomInputs) {
     auto keys = [](Operator* op) {
       SMOOTHSCAN_CHECK(op->Open().ok());
       std::multiset<std::pair<int64_t, int64_t>> out;
-      Tuple t;
-      while (op->Next(&t)) out.emplace(t[0].AsInt64(), t[2].AsInt64());
+      TupleBatch batch;
+      while (op->NextBatch(&batch)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const Tuple& t = batch.row(i);
+          out.emplace(t[0].AsInt64(), t[2].AsInt64());
+        }
+      }
       return out;
     };
     EXPECT_EQ(keys(&merge), keys(&hash)) << "trial " << trial;
@@ -170,9 +178,9 @@ TEST(MergeJoinTest, OrderedSmoothScanFeedsMergeJoinDirectly) {
   });
 
   SMOOTHSCAN_CHECK(join.Open().ok());
-  Tuple t;
+  TupleBatch batch;
   uint64_t got = 0;
-  while (join.Next(&t)) ++got;
+  while (join.NextBatch(&batch)) got += batch.size();
   EXPECT_EQ(got, expected);
   EXPECT_GT(got, 0u);
 }
@@ -196,8 +204,8 @@ TEST(MergeJoinTest, SmoothFeedCheaperThanSortScanFeedAtHighSelectivity) {
     MergeJoinOp join(&engine, std::move(scan), SortedInts({1, 2, 3}),
                      MicroBenchDb::kIndexedColumn, 0);
     SMOOTHSCAN_CHECK(join.Open().ok());
-    Tuple t;
-    while (join.Next(&t)) {
+    TupleBatch batch;
+    while (join.NextBatch(&batch)) {
     }
     return (engine.disk().stats() - before).io_time + engine.cpu().time() -
            cpu_before;

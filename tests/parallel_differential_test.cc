@@ -141,6 +141,68 @@ TEST_F(ParallelDifferentialTest, FullScanMatchesSerialBitForBit) {
   }
 }
 
+// The AccessPath accounting contract holds for a parallel path too: after
+// SetExecContext, every morsel stream settles into the query's context —
+// charged exactly like the serial scan in the same context — and nothing
+// reaches the engine's shared stream.
+TEST_F(ParallelDifferentialTest, ParallelScanChargesItsExecContext) {
+  const ScanPredicate pred = db_->PredicateForSelectivity(0.3);
+  const std::multiset<int64_t> oracle = Oracle(pred);
+  auto run_in_query_context = [&](AccessPath* path, const char* label) {
+    engine_->ColdRestart();
+    engine_->disk().ResetAll();
+    engine_->cpu().Reset();
+    QueryContext qctx(engine_.get());
+    path->SetExecContext(&qctx.ctx());
+    EXPECT_TRUE(path->Open().ok()) << label;
+    std::multiset<int64_t> got;
+    TupleBatch batch;
+    while (path->NextBatch(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        got.insert(batch.row(i)[0].AsInt64());
+      }
+    }
+    path->Close();
+    path->SetExecContext(nullptr);
+    EXPECT_EQ(got, oracle) << label;
+    const IoStats engine_io = engine_->disk().stats();
+    EXPECT_EQ(engine_io.io_requests, 0u) << label;
+    EXPECT_EQ(engine_io.pages_read, 0u) << label;
+    EXPECT_EQ(engine_io.io_time, 0.0) << label;
+    EXPECT_EQ(engine_->cpu().time(), 0.0) << label;
+    CostSnapshot snap;
+    snap.io = qctx.disk().stats();
+    snap.cpu = qctx.cpu().time();
+    snap.tuples = got.size();
+    return snap;
+  };
+
+  FullScan serial(&db_->heap(), pred);
+  const CostSnapshot serial_cost = run_in_query_context(&serial, "serial");
+  ASSERT_GT(serial_cost.io.pages_read, 0u);
+  CostSnapshot dop1;
+  for (const uint32_t dop : {1u, 2u, 4u}) {
+    auto par = MakeParallelFullScan(&db_->heap(), pred, FullScanOptions(),
+                                    Par(dop));
+    const CostSnapshot cost = run_in_query_context(par.get(), "parallel");
+    // I/O as the serial scan's, bit for bit; CPU up to float summation
+    // order, as in FullScanMatchesSerialBitForBit.
+    EXPECT_EQ(cost.io.io_requests, serial_cost.io.io_requests) << dop;
+    EXPECT_EQ(cost.io.random_ios, serial_cost.io.random_ios) << dop;
+    EXPECT_EQ(cost.io.seq_ios, serial_cost.io.seq_ios) << dop;
+    EXPECT_EQ(cost.io.pages_read, serial_cost.io.pages_read) << dop;
+    EXPECT_EQ(cost.io.bytes_read, serial_cost.io.bytes_read) << dop;
+    EXPECT_EQ(cost.io.io_time, serial_cost.io.io_time) << dop;
+    EXPECT_NEAR(cost.cpu, serial_cost.cpu, 1e-9 * (1.0 + serial_cost.cpu));
+    EXPECT_EQ(cost.tuples, serial_cost.tuples) << dop;
+    if (dop == 1) {
+      dop1 = cost;
+    } else {
+      cost.ExpectBitIdentical(dop1, "context charges DOP invariance");
+    }
+  }
+}
+
 TEST_F(ParallelDifferentialTest, IndexScanDopInvariant) {
   for (const double sel : kSelectivities) {
     const ScanPredicate pred = db_->PredicateForSelectivity(sel);
@@ -413,8 +475,13 @@ TEST_F(ParallelDifferentialTest, GatherComposesWithSerialOperatorsAbove) {
   });
   ASSERT_TRUE(filter.Open().ok());
   std::multiset<int64_t> got;
-  Tuple t;
-  while (filter.Next(&t)) got.insert(t[0].AsInt64());
+  TupleBatch batch;
+  while (filter.NextBatch(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Tuple& t = batch.row(i);
+      got.insert(t[0].AsInt64());
+    }
+  }
   filter.Close();
   std::multiset<int64_t> expected;
   for (const int64_t v : oracle) {

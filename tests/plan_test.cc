@@ -1,10 +1,13 @@
 // Optimizer tests: histogram-based selectivity estimation, the textbook
 // access-path choice as a function of (possibly corrupted) statistics, and
-// the MakePath factory.
+// the MakePath builder.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "plan/access_path_chooser.h"
+#include "sharing/scan_sharing.h"
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
@@ -142,9 +145,9 @@ TEST_F(PlanTest, MakeParallelPathBuildsEveryHeapKind) {
       EXPECT_EQ(path->dop(), dop);
       engine_->ColdRestart();
       ASSERT_TRUE(path->Open().ok());
-      Tuple t;
+      TupleBatch batch;
       uint64_t n = 0;
-      while (path->Next(&t)) ++n;
+      while (path->NextBatch(&batch)) n += batch.size();
       EXPECT_GT(n, 0u) << PathKindToString(kind);
       path->Close();
     }
@@ -155,20 +158,77 @@ TEST_F(PlanTest, MakeParallelPathBuildsEveryHeapKind) {
             nullptr);
 }
 
+// The builder's whole decision table: every kind x dop {0, 2} x need_order
+// x sharing on/off x extent present/absent. Fallbacks: a shared scan without
+// a coordinator (or under an order requirement) and a compressed scan
+// without an extent build a FullScan; order-preserving requests and shared
+// scans have no parallel form; serial shared and compressed scans with a
+// coordinator consume its cooperative scan.
 TEST_F(PlanTest, MakePathConstructsEveryKind) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.01);
-  for (const PathKind kind :
-       {PathKind::kFullScan, PathKind::kIndexScan, PathKind::kSortScan,
-        PathKind::kSwitchScan, PathKind::kSmoothScan}) {
-    std::unique_ptr<AccessPath> path =
-        MakePath(kind, &db_->index(), pred, false, 100);
-    ASSERT_NE(path, nullptr) << PathKindToString(kind);
-    engine_->ColdRestart();
-    ASSERT_TRUE(path->Open().ok());
-    Tuple t;
-    uint64_t n = 0;
-    while (path->Next(&t)) ++n;
-    EXPECT_GT(n, 0u) << PathKindToString(kind);
+  CompressedExtentMap extents(engine_);
+  const CompressedExtentRef extent =
+      extents.Enable(&db_->heap(), MicroBenchDb::kIndexedColumn);
+  ASSERT_NE(extent, nullptr);
+  ScanSharingCoordinator sharing(engine_);
+  for (int k = 0; k < kNumPathKinds; ++k) {
+    const PathKind kind = static_cast<PathKind>(k);
+    for (const uint32_t dop : {0u, 2u}) {
+      for (const bool need_order : {false, true}) {
+        for (const bool shared_on : {false, true}) {
+          for (const bool has_extent : {false, true}) {
+            PathRequest request;
+            request.kind = kind;
+            request.index = &db_->index();
+            request.predicate = pred;
+            request.need_order = need_order;
+            request.estimate = 100;
+            request.dop = dop;
+            request.sharing = shared_on ? &sharing : nullptr;
+            if (has_extent) request.extent = extent;
+
+            PathKind want_kind = kind;
+            if ((kind == PathKind::kSharedScan && (!shared_on || need_order)) ||
+                (kind == PathKind::kCompressedScan && !has_extent)) {
+              want_kind = PathKind::kFullScan;
+            }
+            const bool want_parallel =
+                dop > 0 && want_kind != PathKind::kSharedScan &&
+                (want_kind == PathKind::kCompressedScan || !need_order);
+            const bool want_shared =
+                !want_parallel &&
+                (want_kind == PathKind::kSharedScan ||
+                 (want_kind == PathKind::kCompressedScan && shared_on));
+            std::string want_name = PathKindToString(want_kind);
+            if (want_parallel) {
+              want_name = "Parallel" + want_name;
+            } else if (want_shared &&
+                       want_kind == PathKind::kCompressedScan) {
+              want_name = "SharedCompressedScan";
+            }
+
+            const std::string label =
+                std::string(PathKindToString(kind)) + " dop=" +
+                std::to_string(dop) + " order=" + std::to_string(need_order) +
+                " sharing=" + std::to_string(shared_on) +
+                " extent=" + std::to_string(has_extent);
+            BuiltPath built = MakePath(request);
+            ASSERT_NE(built.path, nullptr) << label;
+            EXPECT_EQ(built.path->name(), want_name) << label;
+            EXPECT_EQ(built.kind, want_kind) << label;
+            EXPECT_EQ(built.parallel, want_parallel) << label;
+            EXPECT_EQ(built.shared, want_shared) << label;
+            engine_->ColdRestart();
+            ASSERT_TRUE(built.path->Open().ok()) << label;
+            TupleBatch batch;
+            uint64_t n = 0;
+            while (built.path->NextBatch(&batch)) n += batch.size();
+            built.path->Close();
+            EXPECT_GT(n, 0u) << label;
+          }
+        }
+      }
+    }
   }
 }
 
