@@ -50,6 +50,15 @@ one of the engine's structural invariants:
                      src/tpch/: paths are built in one place,
                      MakePath(PathRequest) in src/plan/, so the fallback,
                      parallel and sharing decisions are made once.
+  dead-option        Every field of a `struct <Name>Options` under src/
+                     must be assigned (`.field =`, `->field =`, a compound
+                     assignment or `.field.push_back(`) somewhere outside
+                     the tests: in src/ or in the sibling bench/,
+                     examples/ or perfbench/ trees. An option nothing sets
+                     is a constant with extra steps; make it one, or mark
+                     a test seam with a reasoned allow. Matching is by
+                     field name, so a name shared by two structs counts as
+                     set when either is.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -180,6 +189,16 @@ RULES = [
 
 ALLOW_RE = re.compile(r"lint:allow\(([a-z-]+)\)")
 
+# dead-option: the trees whose non-test code may set an option, beside the
+# linted root itself (siblings of the root, e.g. src/../bench).
+OPTION_CALLER_DIRS = ("bench", "examples", "perfbench")
+CALLER_EXTS = (".h", ".cc", ".cpp")
+OPTIONS_STRUCT_RE = re.compile(r"^\s*struct\s+(\w*Options)\s*\{")
+# One single-line data member: `<type> <name> [= init | {init}];`.
+FIELD_RE = re.compile(
+    r"^\s*(?!static\b|using\b|friend\b|return\b|typedef\b)"
+    r"[\w:<>,*&\s]+?[\s*&](\w+)\s*(?:=[^;]*|\{[^;]*\})?;\s*$")
+
 
 def strip_comment(line):
     """Drops a trailing // comment (naive: good enough for this tree —
@@ -215,20 +234,82 @@ def lint_file(rel, lines, rules):
     return violations
 
 
-def iter_source_files(root):
+def iter_source_files(root, exts=SOURCE_EXTS):
     for dirpath, _, filenames in os.walk(root):
         for filename in sorted(filenames):
-            if filename.endswith(SOURCE_EXTS):
+            if filename.endswith(exts):
                 path = os.path.join(dirpath, filename)
                 yield path, os.path.relpath(path, root)
+
+
+def read_lines(path):
+    with open(path, encoding="utf-8") as f:
+        return f.read().splitlines()
+
+
+def option_fields(lines):
+    """Yields (lineno, struct, field, allows) for every data member declared
+    directly in a `struct ...Options { ... };` body."""
+    struct, depth, pending_allows = None, 0, set()
+    for lineno, raw in enumerate(lines, start=1):
+        allows = allowed_rules(raw) | pending_allows
+        pending_allows = (pending_allows | allowed_rules(raw)
+                          if raw.lstrip().startswith("//") else set())
+        code = strip_comment(raw)
+        if struct is None:
+            m = OPTIONS_STRUCT_RE.match(code)
+            if m:
+                struct, depth = m.group(1), code.count("{") - code.count("}")
+            continue
+        # A "(" before any initializer marks a function, not a data member.
+        if depth == 1 and "(" not in code.split("=")[0]:
+            m = FIELD_RE.match(code)
+            if m:
+                yield lineno, struct, m.group(1), allows
+        depth += code.count("{") - code.count("}")
+        if depth <= 0:
+            struct = None
+
+
+def is_test_path(rel):
+    parts = rel.split(os.sep)
+    return "tests" in parts or parts[-1].endswith("_test.cc")
+
+
+def lint_dead_options(root):
+    """The dead-option rule: cross-file, so it runs apart from the per-line
+    rules."""
+    parent = os.path.dirname(os.path.abspath(root))
+    trees = [root] + [os.path.join(parent, d) for d in OPTION_CALLER_DIRS]
+    code = []
+    for tree in trees:
+        for path, rel in iter_source_files(tree, CALLER_EXTS):
+            if not is_test_path(rel):
+                code.extend(strip_comment(l) for l in read_lines(path))
+    code = "\n".join(code)
+    violations = []
+    for path, rel in iter_source_files(root, HEADER_EXTS):
+        for lineno, struct, field, allows in option_fields(read_lines(path)):
+            if "dead-option" in allows:
+                continue
+            setter = re.compile(
+                r"(?:\.|->)" + field + r"(?:\.\w+)*"
+                r"(?:\s*[-+*/|&]?=(?!=)|\.(?:push_back|emplace_back)\()")
+            if not setter.search(code):
+                violations.append((rel, lineno, "dead-option",
+                                   f"{struct}::{field} is set by no non-test "
+                                   "code (make it a constant, or allow a "
+                                   "test seam with a reason)"))
+    return violations
 
 
 def run(root, rule_names):
     rules = [r for r in RULES if not rule_names or r["name"] in rule_names]
     violations = []
     for path, rel in iter_source_files(root):
-        with open(path, encoding="utf-8") as f:
-            violations.extend(lint_file(rel, f.read().splitlines(), rules))
+        violations.extend(lint_file(rel, read_lines(path), rules))
+    if not rule_names or "dead-option" in rule_names:
+        violations.extend(lint_dead_options(root))
     return violations
 
 
@@ -241,7 +322,7 @@ def main(argv=None):
                         help="rules to run (default: all)")
     args = parser.parse_args(argv)
 
-    known = {r["name"] for r in RULES}
+    known = {r["name"] for r in RULES} | {"dead-option"}
     for name in args.rules:
         if name not in known:
             parser.error(f"unknown rule: {name}")

@@ -17,13 +17,17 @@ import lint_invariants as lint  # noqa: E402
 class LintTest(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
-        self.root = self.tmp.name
+        # The linted root is <tmp>/src, so dead-option's sibling caller trees
+        # (<tmp>/bench, ...) stay inside the doctored tree.
+        self.root = os.path.join(self.tmp.name, "src")
+        os.makedirs(self.root)
 
     def tearDown(self):
         self.tmp.cleanup()
 
-    def write(self, rel, text):
-        path = os.path.join(self.root, rel)
+    def write(self, rel, text, tree=None):
+        path = os.path.join(self.tmp.name, tree, rel) if tree else \
+            os.path.join(self.root, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
@@ -140,6 +144,47 @@ class LintTest(unittest.TestCase):
         self.write("plan/access_path_chooser.cc", build)  # The builder.
         self.write("bench/fig.cc", build)  # Outside the rule's scope.
         self.assertEqual(self.names(), ["path-construction"] * 6)
+
+    def test_dead_option_fires_on_fields_only_tests_set(self):
+        self.write("scan/scan.h",
+                   "struct ScanOptions {\n"
+                   "  uint32_t window = 32;  // Set by a bench.\n"
+                   "  bool flatten = true;   // Set inside src/.\n"
+                   "  SessionOptions session;  // Set through a member.\n"
+                   "  std::vector<int> phases;  // Appended to.\n"
+                   "  uint64_t hint = 0;     // Set by tests only.\n"
+                   "  double cost = 1.0;     // Only compared.\n"
+                   "  Profile device = Profile::Hdd();  // Never set.\n"
+                   "  // lint:allow(dead-option) — a test seam.\n"
+                   "  uint32_t fanout_override = 0;\n"
+                   "  struct Inner {\n"
+                   "    int nested = 0;  // Not a ScanOptions field.\n"
+                   "  };\n"
+                   "  static ScanOptions Defaults();\n"
+                   "  bool valid() const { return window > 0; }\n"
+                   "};\n"
+                   "struct ScanStats {\n"
+                   "  uint64_t pages = 0;  // Not an Options struct.\n"
+                   "};\n")
+        self.write("scan/scan.cc",
+                   "void F(ScanOptions* o) { o->flatten = false; }\n")
+        self.write("fig.cc", "o.window = 64;\nif (o.cost == 2.0) {}\n",
+                   tree="bench")
+        self.write("client.cpp",
+                   "so.session.max_outstanding = 2;\n"
+                   "o.phases.push_back(1);\n", tree="examples")
+        self.write("scan_test.cc", "o.hint = 7;\no.cost = 2.0;\n",
+                   tree="tests")
+        self.write("tests/selftest.cc", "o.hint = 7;\n", tree="perfbench")
+        self.write("harness/main.cc", "// o.hint = 7; in a comment\n",
+                   tree="perfbench")
+        violations = self.lint(["dead-option"])
+        self.assertEqual([(rel, lineno, name)
+                          for (rel, lineno, name, _) in violations],
+                         [(os.path.join("scan", "scan.h"), 6, "dead-option"),
+                          (os.path.join("scan", "scan.h"), 7, "dead-option"),
+                          (os.path.join("scan", "scan.h"), 8, "dead-option")])
+        self.assertIn("ScanOptions::hint", violations[0][3])
 
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",

@@ -45,6 +45,11 @@
 
 namespace smoothscan {
 
+/// Pages per sequential I/O request (the read-ahead window) of every
+/// sequential page walk: FullScan, SwitchScan's post-switch scan and
+/// CompressedScan. Page-range morsels align to it.
+inline constexpr uint32_t kReadAheadPages = 32;
+
 /// Counters common to all access paths.
 struct AccessPathStats {
   uint64_t tuples_produced = 0;

@@ -14,8 +14,6 @@
 namespace smoothscan {
 
 struct FullScanOptions {
-  /// Pages fetched per I/O request (read-ahead window).
-  uint32_t read_ahead_pages = 32;
   /// Heap-page range [page_begin, page_end) to scan. The defaults cover the
   /// whole file; morsel-driven execution restricts each worker's scan to its
   /// page-range morsel.

@@ -34,28 +34,4 @@ std::vector<Morsel> MorselSource::KeyRanges(
   return morsels;
 }
 
-uint32_t MorselSource::SuggestMorselPages(
-    uint32_t current_morsel_pages, uint32_t read_ahead_pages,
-    uint32_t target_batches_per_morsel) const {
-  SMOOTHSCAN_CHECK(read_ahead_pages > 0);
-  const MorselFillStats fill = fill_stats();
-  if (total_pages_ == 0 || fill.tuples == 0 || fill.batches == 0) {
-    return current_morsel_pages;  // Nothing observed; keep the current size.
-  }
-  const double tuples_per_page =
-      static_cast<double>(fill.tuples) / static_cast<double>(total_pages_);
-  if (tuples_per_page <= 0.0) return current_morsel_pages;
-  const double avg_capacity =
-      static_cast<double>(fill.capacity) / static_cast<double>(fill.batches);
-  const double want_tuples = target_batches_per_morsel * avg_capacity;
-  const double want_pages = want_tuples / tuples_per_page;
-  uint64_t pages = static_cast<uint64_t>(want_pages);
-  // Align down to the read-ahead window (extent boundaries must still
-  // coincide with the serial scan's), but never below one window.
-  pages -= pages % read_ahead_pages;
-  if (pages < read_ahead_pages) pages = read_ahead_pages;
-  if (pages > UINT32_MAX) pages = UINT32_MAX - UINT32_MAX % read_ahead_pages;
-  return static_cast<uint32_t>(pages);
-}
-
 }  // namespace smoothscan

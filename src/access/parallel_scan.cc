@@ -63,7 +63,6 @@ TaskScheduler* ParallelScan::scheduler() {
 void ParallelScan::EmitTo(size_t slot, PooledBatch&& batch) {
   // Empty batches go straight back to the pool (the handle's destructor).
   if (!batch || batch->empty()) return;
-  source_->RecordBatchFill(batch->size(), batch->capacity());
   {
     latch::LatchGuard lock(mu_);
     slots_[slot].batches.push_back(std::move(batch));
@@ -111,7 +110,8 @@ Status ParallelScan::OpenImpl() {
   settle_ = ctx();
   // Every stream of the cycle mirrors and reports like the context's pool.
   auto make_stream = [this] {
-    auto mc = std::make_unique<MorselContext>(engine_, ctx().pool->mirror());
+    auto mc = std::make_unique<PrivateContext>(engine_, ctx().pool->mirror(),
+                                               /*num_shards=*/1);
     mc->pool().SetMetricsSink(ctx().pool->metrics_sink());
     mc->SetBatchPool(pool_);
     mc->SetMemScope(ctx().mem);
@@ -155,7 +155,7 @@ Status ParallelScan::OpenImpl() {
     tasks.push_back([this, trace, query_id] {
       Morsel m;
       while (source_->Next(&m)) {
-        MorselContext& mc = *contexts_[m.index];
+        PrivateContext& mc = *contexts_[m.index];
         // Worker-ring span around the morsel; the index payload lets a
         // Perfetto view line morsels up against the queue they drained from.
         obs::TraceSpan morsel_span(trace, query_id, "morsel", "morsel_index",
@@ -286,8 +286,7 @@ class ParallelFullScanKernel : public ParallelScanKernel {
       : heap_(heap),
         predicate_(std::move(predicate)),
         scan_options_(scan_options),
-        morsel_pages_(
-            AlignMorselPages(morsel_pages, scan_options.read_ahead_pages)) {}
+        morsel_pages_(AlignMorselPages(morsel_pages, kReadAheadPages)) {}
 
   const char* name() const override { return "ParallelFullScan"; }
 
@@ -440,8 +439,7 @@ class ParallelSwitchScanKernel : public ParallelScanKernel {
       : index_(index),
         predicate_(std::move(predicate)),
         scan_options_(scan_options),
-        morsel_pages_(
-            AlignMorselPages(morsel_pages, scan_options.read_ahead_pages)) {}
+        morsel_pages_(AlignMorselPages(morsel_pages, kReadAheadPages)) {}
 
   const char* name() const override { return "ParallelSwitchScan"; }
 

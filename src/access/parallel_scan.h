@@ -10,10 +10,10 @@
 // use, or the phase function that operator shares (SortScan's
 // FetchSortedTids); no kernel has a page or tuple loop of its own, and
 // scripts/lint_invariants.py enforces that. Workers pull morsels from a
-// shared MorselSource and run each one against a private MorselContext (its
-// own simulated disk, buffer pool and CPU meter: one logical access stream
-// per morsel). Produced batches flow through per-morsel output slots that the
-// consumer drains in morsel order.
+// shared MorselSource and run each one against its own PrivateContext (a
+// simulated disk, single-shard buffer pool and CPU meter: one logical access
+// stream per morsel). Produced batches flow through per-morsel output slots
+// that the consumer drains in morsel order.
 //
 // The serial operators are not one-morsel kernel runs: RunMorsel pushes its
 // output and runs to completion, so an inline one-morsel scan would buffer
@@ -82,6 +82,7 @@ struct ParallelScanOptions {
   /// window so parallel extent boundaries coincide with the serial scan's.
   uint32_t morsel_pages = 128;
   /// Cap on the key-range decomposition of index-driven scans.
+  // lint:allow(dead-option) — tests pick odd and single-morsel splits.
   uint32_t max_key_morsels = 32;
   /// Optional shared worker pool; the scan owns a private one when null.
   TaskScheduler* scheduler = nullptr;
@@ -161,9 +162,6 @@ class ParallelScan : public AccessPath {
   /// The batch pool the kernels draw from (owned or external; an owned pool
   /// exists from the first Open on).
   const BatchPool* batch_pool() const { return pool_; }
-  /// The morsel dispenser of the current/last Open cycle (fill-rate
-  /// telemetry and SuggestMorselPages live here). Null before first Open.
-  const MorselSource* morsel_source() const { return source_.get(); }
 
  protected:
   Status OpenImpl() override;
@@ -199,8 +197,8 @@ class ParallelScan : public AccessPath {
   ExecContext settle_;
 
   std::unique_ptr<MorselSource> source_;
-  std::unique_ptr<MorselContext> planning_;
-  std::vector<std::unique_ptr<MorselContext>> contexts_;
+  std::unique_ptr<PrivateContext> planning_;
+  std::vector<std::unique_ptr<PrivateContext>> contexts_;
   std::vector<AccessPathStats> morsel_stats_;
   AccessPathStats prolog_stats_;
   std::shared_ptr<TaskScheduler::TaskGroup> group_;

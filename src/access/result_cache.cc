@@ -11,7 +11,6 @@ ResultCache::ResultCache(std::vector<int64_t> separators, Engine* engine,
                          ResultCacheOptions options)
     : separators_(std::move(separators)), engine_(engine), options_(options) {
   SMOOTHSCAN_CHECK(std::is_sorted(separators_.begin(), separators_.end()));
-  SMOOTHSCAN_CHECK(options_.spill_tuples_per_page > 0);
   if (options_.max_resident_tuples != UINT64_MAX) {
     SMOOTHSCAN_CHECK(engine_ != nullptr);
   }
@@ -50,7 +49,7 @@ void ResultCache::Clear() {
 
 void ResultCache::SyncBrokerCharge() {
   if (!mem_.valid()) return;
-  const uint64_t want = resident_size_ * options_.bytes_per_tuple;
+  const uint64_t want = resident_size_ * kBytesPerTuple;
   const uint64_t have = mem_.bytes();
   if (want > have) {
     mem_.Charge(want - have);
@@ -66,9 +65,9 @@ size_t ResultCache::PartitionOf(int64_t key) const {
       separators_.begin());
 }
 
-uint32_t ResultCache::SpillPages(size_t n) const {
-  return static_cast<uint32_t>(
-      (n + options_.spill_tuples_per_page - 1) / options_.spill_tuples_per_page);
+uint32_t ResultCache::SpillPages(size_t n) {
+  return static_cast<uint32_t>((n + kSpillTuplesPerPage - 1) /
+                               kSpillTuplesPerPage);
 }
 
 void ResultCache::SpillPartition(size_t p) {

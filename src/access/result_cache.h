@@ -42,15 +42,11 @@ struct ResultCacheOptions {
   /// Maximum tuples resident in memory before the furthest partitions spill.
   /// Default: unbounded (no spilling).
   uint64_t max_resident_tuples = UINT64_MAX;
-  /// Tuples that fit in one overflow-file page (sizing the charged I/O).
-  uint32_t spill_tuples_per_page = 64;
   /// Memory broker the cache reports its resident bytes to. Under global
   /// pressure the cache spills furthest partitions even below its own tuple
   /// budget — the broker's preferred alternative to refusing memory. Needs
   /// `engine` (spill I/O is charged); null = ungoverned.
   MemoryBroker* broker = nullptr;
-  /// Resident-footprint estimate per cached tuple for broker accounting.
-  uint32_t bytes_per_tuple = 128;
   /// Live registry counters for spill/restore events (all-null = off). The
   /// owning SmoothScan latches ResultCacheStats into SmoothScanStats only at
   /// Close(); these fire at the event itself, so mid-query pressure response
@@ -136,10 +132,14 @@ class ResultCache {
   /// remains. Queries never fail — they just read the overflow file later.
   void SpillForPressure(size_t keep);
   void Restore(size_t p);
-  /// Re-syncs the broker consumer to `resident_size_ * bytes_per_tuple`.
+  /// Re-syncs the broker consumer to `resident_size_ * kBytesPerTuple`.
   void SyncBrokerCharge();
+  /// Tuples that fit in one overflow-file page (sizing the charged I/O).
+  static constexpr uint32_t kSpillTuplesPerPage = 64;
+  /// Resident-footprint estimate per cached tuple for broker accounting.
+  static constexpr uint32_t kBytesPerTuple = 128;
   /// Overflow-file pages for `n` tuples.
-  uint32_t SpillPages(size_t n) const;
+  static uint32_t SpillPages(size_t n);
 
   std::vector<int64_t> separators_;
   std::vector<Partition> partitions_;

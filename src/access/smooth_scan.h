@@ -109,6 +109,7 @@ struct SmoothScanOptions {
   bool preserve_order = false;
   /// Resident-tuple budget of the Result Cache before its furthest key-range
   /// partitions spill to a simulated overflow file (Section IV-A).
+  // lint:allow(dead-option) — tests force spills on small tables.
   uint64_t result_cache_budget = UINT64_MAX;
   /// Memory broker the Result Cache registers with (null = ungoverned):
   /// under global pressure the cache spills early instead of growing.
@@ -118,6 +119,7 @@ struct SmoothScanOptions {
   /// the secondary index "it is sufficient to remember the last tuple we
   /// reached with the traditional index". Requires a bulk-built (globally
   /// (key, TID)-ordered) index; only meaningful for non-eager triggers.
+  // lint:allow(dead-option) — the paper's alternative, pinned by tests.
   bool positional_dedup = false;
   /// Shared-SmoothScan mode: attach this scan to the table's common Page ID
   /// Cache (see SharedSmoothGroup). Null = solo behaviour, bit-identical

@@ -88,8 +88,8 @@ void SwitchScan::FullScanPhase(TupleBatch* out) {
   uint64_t cache_ops = 0;
   while (!out->full() && cur_page_ < num_pages_) {
     if (cur_page_ >= window_end_) {
-      const uint32_t window = std::min<uint32_t>(options_.read_ahead_pages,
-                                                 num_pages_ - window_end_);
+      const uint32_t window =
+          std::min<uint32_t>(kReadAheadPages, num_pages_ - window_end_);
       ctx.pool->FetchExtent(heap->file_id(), window_end_, window);
       window_end_ += window;
     }

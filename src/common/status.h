@@ -26,7 +26,7 @@ enum class StatusCode {
   kInternal = 7,
   kUnimplemented = 8,
   kIoError = 9,
-  kCancelled = 10,
+  kCancelled = 10,  // The last code: net/frame.cc bounds wire statuses by it.
 };
 
 /// Returns a short human-readable name for `code` ("OK", "NOT_FOUND", ...).

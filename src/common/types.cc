@@ -4,20 +4,6 @@
 
 namespace smoothscan {
 
-const char* ValueTypeToString(ValueType type) {
-  switch (type) {
-    case ValueType::kInt64:
-      return "INT64";
-    case ValueType::kDouble:
-      return "DOUBLE";
-    case ValueType::kString:
-      return "STRING";
-    case ValueType::kDate:
-      return "DATE";
-  }
-  return "UNKNOWN";
-}
-
 int Value::Compare(const Value& other) const {
   SMOOTHSCAN_CHECK(type_ == other.type_);
   switch (type_) {

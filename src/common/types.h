@@ -41,16 +41,8 @@ enum class ValueType : uint8_t {
   kDate = 3,
 };
 
-/// Returns "INT64", "DOUBLE", "STRING" or "DATE".
-const char* ValueTypeToString(ValueType type);
-
 /// True for types with a fixed-width serialized representation.
 inline bool IsFixedWidth(ValueType type) { return type != ValueType::kString; }
-
-/// Serialized width in bytes for fixed-width types.
-inline uint32_t FixedWidth(ValueType type) {
-  return IsFixedWidth(type) ? 8u : 0u;
-}
 
 /// A typed runtime value. Used at the executor boundary; the storage layer
 /// serializes values into page bytes (see storage/schema.h).

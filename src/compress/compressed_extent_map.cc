@@ -50,12 +50,6 @@ CompressedExtentRef CompressedExtentMap::Lookup(FileId table) const {
   return it == tables_.end() ? nullptr : it->second.current;
 }
 
-void CompressedExtentMap::Invalidate(FileId table) {
-  latch::LatchGuard lock(mu_);
-  auto it = tables_.find(table);
-  if (it != tables_.end()) it->second.current = nullptr;
-}
-
 void CompressedExtentMap::OnPublish(FileId table) {
   latch::LatchGuard lock(mu_);
   auto it = tables_.find(table);

@@ -101,9 +101,6 @@ class CompressedExtentMap {
   /// Current extent of `table`, or null (not enabled / invalidated).
   CompressedExtentRef Lookup(FileId table) const EXCLUDES(mu_);
 
-  /// Drops `table`'s current extent; Lookup returns null until a rebuild.
-  void Invalidate(FileId table) EXCLUDES(mu_);
-
   /// Publish notification for `table`: invalidates, then (when auto_rebuild)
   /// folds the heap's published content into a fresh sibling extent, charging
   /// the engine stream one extent write over the new pages. Evicts the old

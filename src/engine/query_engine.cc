@@ -469,8 +469,7 @@ QueryResult QueryEngine::ExecuteWrite(QueryId id, QuerySpec spec,
   // target pages into the buffer are this query's cost, bit-identical at any
   // admission level. Write-back I/O is communal (charged on the engine
   // stream at flush; see write/table_writer.h).
-  QueryContext qctx(engine_,
-                    options_.mirror_pages ? &engine_->pool() : nullptr);
+  PrivateContext qctx(engine_, &engine_->pool());
   qctx.pool().SetMetricsSink(bp_sink_);
   uint64_t applied = 0;
   {
@@ -543,8 +542,7 @@ QueryResult QueryEngine::Execute(QueryId id, QuerySpec spec,
   // Per-query accounting stack; page pins mirror into the shared pool. The
   // private pool is where this query's hits and misses are counted, so it —
   // not the mirror — feeds the registry's bufferpool.* counters.
-  QueryContext qctx(engine_,
-                    options_.mirror_pages ? &engine_->pool() : nullptr);
+  PrivateContext qctx(engine_, &engine_->pool());
   qctx.pool().SetMetricsSink(bp_sink_);
   // Per-query execution-memory account: batch pools charge it; a quota
   // breach or global broker pressure sheds their recycled storage. Pure

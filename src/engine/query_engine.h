@@ -3,9 +3,9 @@
 // many queries with mis-estimated selectivities must not cliff, so the engine
 // runs *streams* of queries, not one query, over the shared TaskScheduler
 // (intra-query morsel work) and the shared BufferPool (page residency and
-// pinning), while every query charges a private QueryContext accounting stack
-// (see exec_context.h) — which is what keeps each query's simulated cost
-// bit-identical to a solo cold run at any admission level.
+// pinning), while every query charges its own accounting stack
+// (PrivateContext, see exec_context.h) — which is what keeps each query's
+// simulated cost bit-identical to a solo cold run at any admission level.
 //
 // Control plane vs. data plane:
 //   * SubmitSpec() appends the query to a submission queue with two lanes —
@@ -267,10 +267,6 @@ struct QueryEngineOptions {
   /// Shared data-plane worker pool for intra-query morsels. Null: a query
   /// with dop >= 1 spins up a private pool (standalone use; prefer sharing).
   TaskScheduler* scheduler = nullptr;
-  /// Mirror every page a query touches into the engine's shared buffer pool
-  /// (pinned for the access's lifetime) — real residency contention without
-  /// perturbing per-query accounting. See BufferPool::SetMirror.
-  bool mirror_pages = true;
   /// Cross-query scan sharing (src/sharing/): kSharedScan plans attach to
   /// the coordinator's cooperative circular scans, the chooser may upgrade
   /// full scans to kSharedScan, Smooth Scan queries feed the per-table

@@ -55,6 +55,7 @@ struct SessionOptions {
   uint32_t max_outstanding = 8;
   /// Per-query stream window in batches (Stream() queries): the executor
   /// blocks after this many undelivered batches.
+  // lint:allow(dead-option) — tests shrink it to force producer stalls.
   size_t stream_batches = 4;
   /// Diagnostic name (trace spans, server logs).
   std::string name = "session";
@@ -137,14 +138,6 @@ class QueryBuilder {
   QueryBuilder& Policy(PathKind kind) {
     spec_.use_chooser = false;
     spec_.kind = kind;
-    return *this;
-  }
-  /// Cost-based choice over (possibly lying) statistics instead of a fixed
-  /// policy.
-  QueryBuilder& UseChooser(const TableStats* stats, const CostModel* model) {
-    spec_.use_chooser = true;
-    spec_.stats = stats;
-    spec_.cost_model = model;
     return *this;
   }
   /// Cardinality estimate handed to the path (Switch Scan's threshold) when

@@ -4,10 +4,6 @@
 
 namespace smoothscan {
 
-namespace {
-thread_local int t_worker_id = -1;
-}  // namespace
-
 void TaskScheduler::TaskGroup::Wait() {
   latch::UniqueLatch lock(mu_);
   while (remaining_.load(std::memory_order_acquire) != 0) cv_.wait(lock);
@@ -22,14 +18,11 @@ void TaskScheduler::TaskGroup::Finish() {
   }
 }
 
-TaskScheduler::TaskScheduler(uint32_t num_workers, uint64_t rng_seed) {
+TaskScheduler::TaskScheduler(uint32_t num_workers) {
   SMOOTHSCAN_CHECK(num_workers > 0);
-  const Rng root(rng_seed);
   workers_.reserve(num_workers);
   for (uint32_t i = 0; i < num_workers; ++i) {
-    auto w = std::make_unique<Worker>();
-    w->rng = root.Fork(i);
-    workers_.push_back(std::move(w));
+    workers_.push_back(std::make_unique<Worker>());
   }
   for (uint32_t i = 0; i < num_workers; ++i) {
     workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
@@ -60,20 +53,6 @@ std::shared_ptr<TaskScheduler::TaskGroup> TaskScheduler::Submit(
   return group;
 }
 
-size_t TaskScheduler::pending_tasks() const {
-  latch::LatchGuard lock(mu_);
-  size_t n = 0;
-  for (const auto& w : workers_) n += w->tasks.size();
-  return n;
-}
-
-Rng* TaskScheduler::worker_rng(uint32_t worker_id) {
-  SMOOTHSCAN_CHECK(worker_id < workers_.size());
-  return &workers_[worker_id]->rng;
-}
-
-int TaskScheduler::current_worker() { return t_worker_id; }
-
 bool TaskScheduler::TryTake(uint32_t id,
                             std::pair<std::shared_ptr<TaskGroup>, Task>* out) {
   // Own deque first (front: submission order)...
@@ -89,7 +68,6 @@ bool TaskScheduler::TryTake(uint32_t id,
     if (!victim.tasks.empty()) {
       *out = std::move(victim.tasks.back());
       victim.tasks.pop_back();
-      steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -97,7 +75,6 @@ bool TaskScheduler::TryTake(uint32_t id,
 }
 
 void TaskScheduler::WorkerLoop(uint32_t id) {
-  t_worker_id = static_cast<int>(id);
   while (true) {
     std::pair<std::shared_ptr<TaskGroup>, Task> item;
     {

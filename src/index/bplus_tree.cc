@@ -36,10 +36,10 @@ BPlusTree::BPlusTree(Engine* engine, std::string name, const HeapFile* heap,
   const uint32_t page_size = engine_->storage().page_size();
   fanout_ = options_.fanout_override != 0
                 ? options_.fanout_override
-                : DeriveFanout(page_size, options_.key_size);
+                : DeriveFanout(page_size, kIndexKeySize);
   leaf_capacity_ = options_.leaf_capacity_override != 0
                        ? options_.leaf_capacity_override
-                       : DeriveLeafCapacity(page_size, options_.key_size);
+                       : DeriveLeafCapacity(page_size, kIndexKeySize);
   file_id_ = engine_->storage().CreateFile(name_);
 }
 

@@ -40,15 +40,17 @@ struct IndexMeta {
   uint64_t num_entries = 0;  ///< Total (key, Tid) entries.
 };
 
-/// Tuning knobs. Defaults follow the paper's cost model: fanout derived from
-/// the page size with 20% per-key pointer overhead (Eq. 5).
+/// Indexed key size in bytes (KS in Table I): keys are INT64 or DATE.
+inline constexpr uint32_t kIndexKeySize = 8;
+
+/// Test seams. By default the fanout follows the paper's cost model: derived
+/// from the page size with 20% per-key pointer overhead (Eq. 5).
 struct BPlusTreeOptions {
-  /// Indexed key size in bytes (KS in Table I).
-  uint32_t key_size = 8;
-  /// When nonzero, overrides the Eq.-5-derived fanout (useful in tests to
-  /// force deep trees with little data).
+  /// When nonzero, overrides the Eq.-5-derived fanout.
+  // lint:allow(dead-option) — tests force deep trees with little data.
   uint32_t fanout_override = 0;
   /// When nonzero, overrides the derived leaf capacity.
+  // lint:allow(dead-option) — tests force deep trees with little data.
   uint32_t leaf_capacity_override = 0;
 };
 

@@ -7,11 +7,11 @@ namespace smoothscan {
 
 namespace {
 
-/// Conservative per-row footprint estimate for the default charge: the Tuple
+/// Conservative per-row footprint estimate for the account charge: the Tuple
 /// vector header plus a nominal ten-column Value payload (the micro-benchmark
-/// schema). A hint, not a measurement — governance needs a stable, cheap
+/// schema). An estimate, not a measurement — governance needs a stable, cheap
 /// number, not per-vector bookkeeping.
-uint64_t DefaultBatchBytes(size_t capacity) {
+uint64_t WarmBatchBytes(size_t capacity) {
   const uint64_t per_row = sizeof(Tuple) + 10 * sizeof(Value);
   return capacity * per_row;
 }
@@ -21,9 +21,7 @@ uint64_t DefaultBatchBytes(size_t capacity) {
 BatchPool::BatchPool(BatchPoolOptions options, MemoryAccount* account)
     : options_(options),
       account_(account),
-      batch_bytes_(options.batch_bytes_hint != 0
-                       ? options.batch_bytes_hint
-                       : DefaultBatchBytes(options.batch_capacity)) {
+      batch_bytes_(WarmBatchBytes(options.batch_capacity)) {
   SMOOTHSCAN_CHECK(options_.batch_capacity > 0);
 }
 

@@ -92,14 +92,11 @@ class PooledBatch {
 
 struct BatchPoolOptions {
   /// Capacity of every batch the pool hands out.
+  // lint:allow(dead-option) — tests cycle tiny batches.
   size_t batch_capacity = kDefaultBatchSize;
   /// When false, released batches drop their row storage instead of keeping
   /// it warm — the allocate-per-batch baseline, kept for ablation benches.
   bool recycle = true;
-  /// Bytes one warm batch is charged to the MemoryAccount. 0 derives a
-  /// conservative estimate from the capacity (row headers + a nominal Value
-  /// payload per row).
-  uint64_t batch_bytes_hint = 0;
   /// Registry counters mirroring this pool's stats bumps (all-null = off).
   BatchPoolMetricsSink metrics;
 };
@@ -133,8 +130,6 @@ class BatchPool {
   PooledBatch Acquire() EXCLUDES(mu_);
 
   size_t batch_capacity() const { return options_.batch_capacity; }
-  /// The per-warm-batch charge (resolved from the hint).
-  uint64_t batch_bytes() const { return batch_bytes_; }
   BatchPoolStats stats() const EXCLUDES(mu_);
   MemoryAccount* account() const { return account_; }
 
@@ -151,7 +146,8 @@ class BatchPool {
 
   const BatchPoolOptions options_;
   MemoryAccount* const account_;
-  uint64_t batch_bytes_ = 0;
+  /// Bytes one warm batch is charged to the account.
+  const uint64_t batch_bytes_;
 
   /// Ranked just above the broker: Release() charges/uncharges the account
   /// scope (which forwards into MemoryBroker::mu_) while holding this latch.

@@ -55,6 +55,7 @@ struct MemoryBrokerOptions {
   /// until the total falls to or below this, damping the spill/restore
   /// ping-pong of consumers hovering at the budget line. 0 (default)
   /// derives `budget - budget / 8`; must not exceed the budget.
+  // lint:allow(dead-option) — tests pin the hysteresis edge.
   uint64_t pressure_low_water_bytes = 0;
 };
 

@@ -49,18 +49,28 @@ void AppendFmt(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, static_cast<size_t>(n));
 }
 
+/// The last StatusCode; a DONE status above it is malformed.
+constexpr uint64_t kMaxStatusCode =
+    static_cast<uint64_t>(StatusCode::kCancelled);
+
+}  // namespace
+
 Status ParseU64(std::string_view tok, uint64_t* out) {
   if (tok.empty()) return Status::InvalidArgument("empty integer field");
   std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') {
+  // strtoull alone would accept leading whitespace, a '+' and a '-' (which
+  // it wraps): demand digits only.
+  if (buf.find_first_not_of("0123456789") != std::string::npos) {
     return Status::InvalidArgument("bad integer '" + buf + "'");
   }
+  errno = 0;
+  const unsigned long long v = std::strtoull(buf.c_str(), nullptr, 10);
+  if (errno != 0) return Status::InvalidArgument("bad integer '" + buf + "'");
   *out = static_cast<uint64_t>(v);
   return Status::OK();
 }
+
+namespace {
 
 Status ParseI64(std::string_view tok, int64_t* out) {
   if (tok.empty()) return Status::InvalidArgument("empty integer field");
@@ -140,8 +150,10 @@ bool FrameDecoder::Pop(Frame* out) {
   out->type = static_cast<FrameType>(buf_[pos_ + 4]);
   out->payload.assign(buf_, pos_ + 5, len);
   pos_ += 5 + len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
+  // Moving the unconsumed tail costs at most the bytes just skipped, so
+  // compaction is amortized O(1) per byte.
+  if (2 * pos_ >= buf_.size()) {
+    buf_.erase(0, pos_);
     pos_ = 0;
   }
   return true;
@@ -266,6 +278,7 @@ Status ParseDonePayload(std::string_view payload, uint64_t* tag,
     double d = 0.0;
     if (key == "status") {
       if (!(s = ParseU64(val, &u)).ok()) return s;
+      if (u > kMaxStatusCode) return Status::InvalidArgument("bad status");
       status_code = static_cast<int>(u);
     } else if (key == "kind") {
       if (!(s = ParseU64(val, &u)).ok()) return s;

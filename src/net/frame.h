@@ -63,14 +63,24 @@ class FrameDecoder {
   Status Feed(const char* data, size_t n);
   bool Pop(Frame* out);
 
+  /// Bytes the decoder holds, including a consumed prefix not yet compacted
+  /// away. Pop() drops that prefix once it is at least half the buffer, so
+  /// a lagging reader retains at most about one partial frame plus what it
+  /// fed since its last Pop().
+  size_t buffered() const { return buf_.size(); }
+
  private:
   std::string buf_;
-  size_t pos_ = 0;  ///< Consumption cursor (compacted when fully drained).
+  size_t pos_ = 0;  ///< Consumption cursor (see buffered()).
   bool poisoned_ = false;
 };
 
 // --- payload codecs -------------------------------------------------------
 // All request/response payloads start with a decimal client-chosen tag.
+
+/// Strict unsigned decimal: digits only (no sign, no whitespace), and no
+/// overflow. Every unsigned integer a peer sends goes through it.
+Status ParseU64(std::string_view tok, uint64_t* out);
 
 /// "<tag> <text>".
 std::string EncodeTagged(uint64_t tag, std::string_view text);

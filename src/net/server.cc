@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <utility>
 
@@ -166,8 +165,9 @@ void Server::HandleFrame(Conn* conn, const Frame& frame) {
             conn->lane = EqualsIgnoreCase(val, "sla") ? QueryLane::kSla
                                                       : QueryLane::kBatch;
           } else if (EqualsIgnoreCase(key, "WINDOW")) {
-            const int w = std::atoi(std::string(val).c_str());
-            if (w >= 1) {
+            // Malformed or out-of-range values are ignored, like 0.
+            uint64_t w = 0;
+            if (ParseU64(val, &w).ok() && w >= 1 && w <= UINT32_MAX) {
               conn->configured_window = static_cast<uint32_t>(w);
               conn->session.SetWindow(conn->configured_window);
             }

@@ -52,8 +52,10 @@ class PipeEndpoint : public Transport {
     const size_t take = std::min(n, b.size() - head);
     std::memcpy(buf, b.data() + head, take);
     head += take;
-    if (head == b.size()) {
-      b.clear();
+    // Drop the consumed prefix once it is half the buffer (amortized O(1)
+    // per byte), so a lagging reader does not retain what it already read.
+    if (2 * head >= b.size()) {
+      b.erase(0, head);
       head = 0;
     }
     return static_cast<int>(take);

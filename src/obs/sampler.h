@@ -54,10 +54,6 @@ class RegistrySampler {
   void Start(std::chrono::milliseconds period);
   void Stop();
 
-  uint64_t samples_taken() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Loop(std::chrono::milliseconds period);
 
@@ -80,7 +76,6 @@ class RegistrySampler {
   std::condition_variable_any cv_;
   bool stop_ GUARDED_BY(mu_) = false;
   std::thread thread_;
-  std::atomic<uint64_t> samples_{0};
 };
 
 }  // namespace obs

@@ -165,6 +165,9 @@ Status ParseHints(Lexer& lex, ParsedStatement* stmt) {
     } else if (EqualsIgnoreCase(key, "DOP")) {
       uint64_t v = 0;
       s = ParseUInt64(val, &v);
+      if (s.ok() && v > kMaxQueryDop) {
+        s = SyntaxError("DOP <= " + std::to_string(kMaxQueryDop), val);
+      }
       stmt->dop = static_cast<uint32_t>(v);
     } else if (EqualsIgnoreCase(key, "LANE")) {
       stmt->has_lane = true;

@@ -8,7 +8,7 @@
 //   SELECT * FROM <table> WHERE C<col> >= <lo> AND C<col> < <hi>
 //       [ORDER BY KEY]
 //       [WITH (POLICY=<auto|full|index|sort|switch|smooth|shared|compressed>,
-//              DOP=<n>, LANE=<batch|sla>, ESTIMATE=<n>,
+//              DOP=<0..64>, LANE=<batch|sla>, ESTIMATE=<n>,
 //              SHARING=<0|1>, KEYS=<0|1>)]
 //   INSERT INTO <table> VALUES (<v>, ...) [, (<v>, ...)]...
 //   UPDATE <table> SET ROW (<v>, ...) WHERE TID (<page>, <slot>)
@@ -34,6 +34,11 @@
 #include "write/table_writer.h"
 
 namespace smoothscan {
+
+/// Largest accepted DOP hint. Without a shared scheduler a parallel scan
+/// starts `dop` threads of its own, so the hint a peer sends must be bounded;
+/// 64 is far above what the benches use (at most 8).
+inline constexpr uint32_t kMaxQueryDop = 64;
 
 enum class StatementKind { kSelect, kWrite };
 

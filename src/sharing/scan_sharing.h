@@ -22,7 +22,7 @@
 // Accounting: chunk fetches charge the engine's shared stream (they are paid
 // once, on behalf of everyone), while each consumer's tuple inspection and
 // production CPU flows through its own ExecContext — under the multi-query
-// engine that is the query's private QueryContext, so per-query CPU remains
+// engine that is the query's PrivateContext, so per-query CPU remains
 // per-query while the I/O becomes communal. A shared-scan query's private
 // pages_read is ~0 by design: the whole point is that it did not pay the
 // pass.
@@ -55,11 +55,13 @@ namespace smoothscan {
 
 struct SharedScanOptions {
   /// Pages per chunk — the unit of production (one FetchExtent request) and
-  /// of fan-out to consumers. Matches FullScan's default read-ahead window.
+  /// of fan-out to consumers. Matches the read-ahead window, kReadAheadPages.
+  // lint:allow(dead-option) — tests shrink chunks to see laps on small tables.
   uint32_t chunk_pages = 32;
   /// Slowest-consumer drift bound: the producer stays within this many chunks
   /// of the least advanced consumer, so at most `drift_chunks * chunk_pages`
   /// pages are pinned per group at any moment.
+  // lint:allow(dead-option) — tests tighten or widen the window.
   uint32_t drift_chunks = 4;
   /// Chunk production runs as tasks on this pool (the engine's shared
   /// data-plane scheduler). Null: the consumer needing the chunk produces it

@@ -20,7 +20,6 @@ struct EngineOptions {
   /// Buffer-pool capacity in pages (default 8 K pages = 64 MB at 8 KB pages).
   size_t buffer_pool_pages = 8192;
   DeviceProfile device = DeviceProfile::Hdd();
-  CpuCosts cpu_costs;
 };
 
 /// One simulated database instance. Non-copyable; operators hold a pointer.
@@ -30,8 +29,7 @@ class Engine {
       : options_(options),
         storage_(options.page_size),
         disk_(options.device, options.page_size),
-        pool_(&storage_, &disk_, options.buffer_pool_pages),
-        cpu_(options.cpu_costs) {}
+        pool_(&storage_, &disk_, options.buffer_pool_pages) {}
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;

@@ -22,7 +22,7 @@
 //
 // Threading model: a SimDisk instance is one *logical access stream*. The
 // engine's instance is the serial stream; morsel-driven execution gives every
-// morsel a private SimDisk (see MorselContext) and merges the resulting
+// morsel a private SimDisk (see PrivateContext) and merges the resulting
 // IoStats into the engine's instance in morsel order, so simulated time is a
 // pure function of the morsel decomposition — never of worker interleaving.
 // The instance itself is latch-protected, so incidental concurrent use (e.g.

@@ -3,109 +3,16 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <cinttypes>
 #include <cstddef>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <thread>
 
 #include "common/rng.h"
 #include "engine/session.h"
-#include "net/server.h"
-#include "net/wire_client.h"
 #include "obs/sampler.h"
 #include "plan/table_stats.h"
 
 namespace smoothscan {
-namespace {
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out->append(buf);
-}
-
-/// Wire-mode SELECT for the spec the in-process mode would have submitted.
-std::string SelectText(const std::string& table, const QuerySpec& spec,
-                       DriverPolicy policy) {
-  std::string text = "SELECT * FROM " + table + " WHERE C";
-  AppendI64(&text, spec.predicate.column);
-  text += " >= ";
-  AppendI64(&text, spec.predicate.lo);
-  text += " AND C";
-  AppendI64(&text, spec.predicate.column);
-  text += " < ";
-  AppendI64(&text, spec.predicate.hi);
-  text += " WITH (POLICY=";
-  switch (policy) {
-    case DriverPolicy::kOptimizer:
-      text += "auto";
-      break;
-    case DriverPolicy::kSmoothScan:
-      text += "smooth";
-      break;
-    case DriverPolicy::kFullScan:
-      text += "full";
-      break;
-    case DriverPolicy::kIndexScan:
-      text += "index";
-      break;
-    case DriverPolicy::kSharedScan:
-      text += "shared";
-      break;
-  }
-  text += ", DOP=";
-  AppendI64(&text, spec.dop);
-  text += ", LANE=";
-  text += spec.lane == QueryLane::kSla ? "sla" : "batch";
-  text += ")";
-  return text;
-}
-
-/// Wire-mode DML: one chained statement list (one batched write query
-/// server-side, matching the in-process op batch exactly).
-std::string WriteText(const std::string& table,
-                      const std::vector<WriteOp>& ops) {
-  std::string text;
-  auto append_values = [&text](const Tuple& tuple) {
-    text += " (";
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      if (i != 0) text += ", ";
-      AppendI64(&text, tuple[i].AsInt64());
-    }
-    text += ")";
-  };
-  auto append_tid = [&text](const Tid& tid) {
-    text += " TID (";
-    AppendI64(&text, tid.page_id);
-    text += ", ";
-    AppendI64(&text, tid.slot);
-    text += ")";
-  };
-  for (const WriteOp& op : ops) {
-    if (!text.empty()) text += "; ";
-    switch (op.kind) {
-      case WriteOp::Kind::kInsert:
-        text += "INSERT INTO " + table + " VALUES";
-        append_values(op.tuple);
-        break;
-      case WriteOp::Kind::kUpdate:
-        text += "UPDATE " + table + " SET ROW";
-        append_values(op.tuple);
-        text += " WHERE";
-        append_tid(op.tid);
-        break;
-      case WriteOp::Kind::kDelete:
-        text += "DELETE FROM " + table + " WHERE";
-        append_tid(op.tid);
-        break;
-    }
-  }
-  return text;
-}
-
-}  // namespace
 
 const char* DriverPolicyToString(DriverPolicy policy) {
   switch (policy) {
@@ -362,17 +269,11 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
     clients.emplace_back([&, c] {
       Rng rng = root.Fork(c);
       std::vector<QueryMetrics>& out = per_client[c];
-      // Each client is one tenant: a Session in-process, or a pipe
-      // connection to the front-end in wire mode. Either way the closed
-      // loop submits, waits, repeats — the engine sees the same stream.
+      // Each client is one tenant with its own Session: the closed loop
+      // submits, waits, repeats.
       SessionOptions session_options;
       session_options.name = "driver-client";
       Session session(qe_, session_options);
-      std::unique_ptr<net::WireClient> wire;
-      if (options.server != nullptr) {
-        wire = std::make_unique<net::WireClient>(
-            options.server->ConnectPipe());
-      }
       for (size_t ph = 0; ph < options.phases.size(); ++ph) {
         const StreamPhase& phase = options.phases[ph];
         const bool writer_client =
@@ -388,32 +289,19 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
                    static_cast<uint64_t>(reads) * phase.write_queries);
           QueryResult result;
           if (do_write) {
-            std::vector<WriteOp> ops = GenWriteOps(phase, &rng, &write_state);
-            if (wire != nullptr) {
-              net::WireResult wr =
-                  wire->Wait(wire->Submit(WriteText(options.wire_table, ops)));
-              result.status = wr.status;
-              result.metrics = wr.metrics;
-            } else {
-              result = session.Query()
-                           .Write(options.writer, std::move(ops))
-                           .Lane(phase.lane)
-                           .Run();
-            }
+            result = session.Query()
+                         .Write(options.writer,
+                                GenWriteOps(phase, &rng, &write_state))
+                         .Lane(phase.lane)
+                         .Run();
             ++writes;
           } else {
             const double sel = rng.UniformDouble(phase.selectivity_lo,
                                                  phase.selectivity_hi);
-            QuerySpec spec =
-                SpecFor(phase, sel, &phase_stats[ph], &model, options);
-            if (wire != nullptr) {
-              net::WireResult wr = wire->Wait(wire->Submit(
-                  SelectText(options.wire_table, spec, options.policy)));
-              result.status = wr.status;
-              result.metrics = wr.metrics;
-            } else {
-              result = session.Query().FromSpec(std::move(spec)).Run();
-            }
+            result = session.Query()
+                         .FromSpec(SpecFor(phase, sel, &phase_stats[ph],
+                                           &model, options))
+                         .Run();
             ++reads;
           }
           SMOOTHSCAN_CHECK(result.status.ok());

@@ -16,7 +16,6 @@
 #define SMOOTHSCAN_WORKLOAD_WORKLOAD_DRIVER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,10 +24,6 @@
 #include "workload/micro_bench.h"
 
 namespace smoothscan {
-
-namespace net {
-class Server;
-}  // namespace net
 
 /// One phase of the stream each client replays, in order.
 struct StreamPhase {
@@ -99,18 +94,6 @@ struct WorkloadOptions {
   /// Synchronize all clients at phase boundaries.
   bool phase_barrier = false;
 
-  /// Network mode: when set, each client connects to this server over an
-  /// in-process pipe and submits its queries as wire text (the grammar of
-  /// plan/query_text.h) instead of raw specs — the full front-end in the
-  /// closed loop. The server's catalog must have the micro-bench table
-  /// registered under `wire_table`. The kOptimizer policy maps to
-  /// POLICY=auto, so the *server's* bound statistics drive the chooser
-  /// (per-phase stats corruption remains an in-process-mode feature), and
-  /// write phases serialize their op batches as chained DML statements.
-  net::Server* server = nullptr;
-  /// Catalog name of the micro-bench table in wire mode.
-  std::string wire_table = "t";
-
   // --- Observability (pure bookkeeping; per-query simulated cost is
   // bit-identical with or without any of it). ---
   /// Unified metrics registry. When set, Run() spawns a RegistrySampler for
@@ -123,6 +106,7 @@ struct WorkloadOptions {
   const MemoryBroker* broker = nullptr;
   const ScanSharingCoordinator* sharing = nullptr;
   /// Sampler tick period.
+  // lint:allow(dead-option) — tests tick the sampler fast.
   uint32_t snapshot_period_ms = 25;
 
   /// The paper's three-phase drift with a lying optimizer: trickle-selective

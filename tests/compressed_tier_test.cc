@@ -92,7 +92,7 @@ class CompressedTierTest : public ::testing::Test {
     IoStats io;
     double cpu = 0.0;
   };
-  Measured Run(AccessPath* path, QueryContext* qctx) {
+  Measured Run(AccessPath* path, PrivateContext* qctx) {
     path->SetExecContext(&qctx->ctx());
     Measured m;
     m.digest = DrainDigest(path);
@@ -134,13 +134,13 @@ TEST_F(CompressedTierTest, SerialSharedParallelMatchFullScanForFewerFetches) {
     const ScanPredicate pred = db_->PredicateForSelectivity(sel);
     const ScanDigest oracle = OracleDigest(db_->heap(), pred);
 
-    QueryContext full_ctx(engine_.get());
+    PrivateContext full_ctx(engine_.get());
     FullScan full(&db_->heap(), pred);
     const Measured full_run = Run(&full, &full_ctx);
     EXPECT_EQ(full_run.digest, oracle) << "sel=" << sel;
 
     // Policy 1: serial compressed scan.
-    QueryContext serial_ctx(engine_.get());
+    PrivateContext serial_ctx(engine_.get());
     CompressedScan serial(engine_.get(), extent_, pred);
     const Measured serial_run = Run(&serial, &serial_ctx);
     EXPECT_EQ(serial_run.digest, oracle) << "sel=" << sel;
@@ -148,7 +148,7 @@ TEST_F(CompressedTierTest, SerialSharedParallelMatchFullScanForFewerFetches) {
         << "sel=" << sel;
 
     // Policy 2: shared compressed scan (single consumer: one communal lap).
-    QueryContext shared_ctx(engine_.get());
+    PrivateContext shared_ctx(engine_.get());
     CompressedScan shared(&sharing, extent_, pred);
     const Measured shared_run = Run(&shared, &shared_ctx);
     EXPECT_EQ(shared_run.digest, oracle) << "sel=" << sel;
@@ -157,7 +157,7 @@ TEST_F(CompressedTierTest, SerialSharedParallelMatchFullScanForFewerFetches) {
 
     // Policy 3: morsel-parallel compressed scan, charged to its context
     // like any path (Run sets it).
-    QueryContext par_ctx(engine_.get());
+    PrivateContext par_ctx(engine_.get());
     ParallelScanOptions po;
     po.dop = 2;
     std::unique_ptr<ParallelScan> par = MakeParallelCompressedScan(
@@ -173,7 +173,7 @@ TEST_F(CompressedTierTest, ResidualPredicateAppliesAfterExpansion) {
   ScanPredicate pred = db_->PredicateForSelectivity(0.5);
   pred.residual = [](const Tuple& t) { return t[3].AsInt64() % 2 == 0; };
   const ScanDigest oracle = OracleDigest(db_->heap(), pred);
-  QueryContext qctx(engine_.get());
+  PrivateContext qctx(engine_.get());
   CompressedScan scan(engine_.get(), extent_, pred);
   EXPECT_EQ(Run(&scan, &qctx).digest, oracle);
 }
@@ -207,12 +207,12 @@ TEST(CompressedZoneMapTest, ClusteredKeySkipsBlocksWithoutIo) {
   pred.hi = 102;
   const ScanDigest oracle = OracleDigest(heap, pred);
 
-  QueryContext full_ctx(&engine);
+  PrivateContext full_ctx(&engine);
   FullScan full(&heap, pred);
   full.SetExecContext(&full_ctx.ctx());
   EXPECT_EQ(DrainDigest(&full), oracle);
 
-  QueryContext qctx(&engine);
+  PrivateContext qctx(&engine);
   CompressedScan scan(&engine, extent, pred);
   scan.SetExecContext(&qctx.ctx());
   EXPECT_EQ(DrainDigest(&scan), oracle);
@@ -234,7 +234,7 @@ TEST_F(CompressedTierTest, IndexOnlyEmitsKeysWithoutPayloadColumns) {
       oracle_keys.insert(t[MicroBenchDb::kIndexedColumn].AsInt64());
     }
   });
-  QueryContext qctx(engine_.get());
+  PrivateContext qctx(engine_.get());
   CompressedScanOptions opts;
   opts.index_only = true;
   CompressedScan scan(engine_.get(), extent_, pred, opts);
@@ -264,7 +264,7 @@ TEST_F(CompressedTierTest, CountRangeMatchesOracleAndSkipsInteriorBlocks) {
       const int64_t k = t[MicroBenchDb::kIndexedColumn].AsInt64();
       if (k >= lo && k < hi) ++oracle;
     });
-    QueryContext qctx(engine_.get());
+    PrivateContext qctx(engine_.get());
     EXPECT_EQ(CompressedCountRange(extent_, lo, hi, qctx.ctx()), oracle)
         << "[" << lo << "," << hi << ")";
     // The full-domain probe is answered from zone metadata alone: every
@@ -408,7 +408,6 @@ TEST_F(CompressedTierTest, MirroredRunsLeaveNoPinsBehind) {
   // EvictFile) CHECK-aborts on a pinned frame.
   QueryEngineOptions qeo;
   qeo.max_admitted = 4;
-  qeo.mirror_pages = true;
   qeo.compressed = map_.get();
   QueryEngine qe(engine_.get(), qeo);
   QuerySpec read;
@@ -429,12 +428,12 @@ TEST_F(CompressedTierTest, MirroredRunsLeaveNoPinsBehind) {
 
 TEST_F(CompressedTierTest, ParallelAccountingBitIdenticalAtDop128) {
   const ScanPredicate pred = db_->PredicateForSelectivity(0.2);
-  QueryContext serial_ctx(engine_.get());
+  PrivateContext serial_ctx(engine_.get());
   CompressedScan serial(engine_.get(), extent_, pred);
   const Measured base = Run(&serial, &serial_ctx);
 
   for (const uint32_t dop : {1u, 2u, 8u}) {
-    QueryContext qctx(engine_.get());
+    PrivateContext qctx(engine_.get());
     ParallelScanOptions po;
     po.dop = dop;
     std::unique_ptr<ParallelScan> par = MakeParallelCompressedScan(

@@ -539,7 +539,6 @@ TEST_F(MemGovernanceTest, ResultCachePressureSpillIsDeterministicAndLossless) {
   auto run_once = [&](MemoryBroker* broker) {
     ResultCacheOptions rco;
     rco.broker = broker;
-    rco.bytes_per_tuple = 128;
     ResultCache cache({100, 200, 300}, engine_.get(), rco);
     // Interleave inserts across all four partitions so the pressure scan
     // always has a "furthest" partition distinct from the insert target.

@@ -1,15 +1,13 @@
 // Unit tests of the memory subsystem (src/mem/): the chunked bump Arena, the
 // recycled-TupleBatch BatchPool (warm reuse, quota shedding, the ablation
-// mode), the MemoryBroker's class accounting and pressure signal, the
-// per-query QueryMemoryScope, and the MorselSource fill-rate telemetry +
-// morsel-size hint that rides on the pooled emit path.
+// mode), the MemoryBroker's class accounting and pressure signal, and the
+// per-query QueryMemoryScope.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "access/morsel_source.h"
 #include "mem/arena.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
@@ -277,49 +275,6 @@ TEST(QueryMemoryScopeTest, BrokerPressurePropagatesToOverQuota) {
   // The scope's own charge flowed into the broker's kExecBatches class.
   EXPECT_EQ(broker.class_bytes(MemoryClass::kExecBatches), 10u);
   scope.Uncharge(10);
-}
-
-// ------------------------------------- MorselSource fill-rate telemetry
-
-TEST(MorselSourceTest, RecordsFillStats) {
-  MorselSource source(MorselSource::PageRanges(256, 64));
-  EXPECT_EQ(source.total_pages(), 256u);
-  source.RecordBatchFill(512, 1024);
-  source.RecordBatchFill(256, 1024);
-  const MorselFillStats fill = source.fill_stats();
-  EXPECT_EQ(fill.batches, 2u);
-  EXPECT_EQ(fill.tuples, 768u);
-  EXPECT_DOUBLE_EQ(fill.fill_rate(), 768.0 / 2048.0);
-}
-
-TEST(MorselSourceTest, SuggestMorselPagesScalesToFillRate) {
-  // 256 pages produced 2560 tuples => 10 tuples/page. Four full 1024-tuple
-  // batches per morsel need 409.6 pages => aligned down to 384 (multiple of
-  // the 32-page read-ahead window).
-  MorselSource source(MorselSource::PageRanges(256, 64));
-  for (int i = 0; i < 10; ++i) source.RecordBatchFill(256, 1024);
-  const uint32_t suggested = source.SuggestMorselPages(
-      /*current_morsel_pages=*/64, /*read_ahead_pages=*/32);
-  EXPECT_EQ(suggested, 384u);
-  EXPECT_EQ(suggested % 32, 0u);
-}
-
-TEST(MorselSourceTest, SuggestMorselPagesNeverBelowOneWindow) {
-  // Dense output: tiny morsels would suffice, but the suggestion never drops
-  // under one read-ahead window (extent boundaries must stay aligned).
-  MorselSource source(MorselSource::PageRanges(256, 64));
-  source.RecordBatchFill(1024, 1024);
-  for (int i = 0; i < 200; ++i) source.RecordBatchFill(1024, 1024);
-  EXPECT_EQ(source.SuggestMorselPages(64, 32), 32u);
-}
-
-TEST(MorselSourceTest, SuggestMorselPagesWithoutTelemetryIsIdentity) {
-  MorselSource source(MorselSource::PageRanges(256, 64));
-  EXPECT_EQ(source.SuggestMorselPages(64, 32), 64u);  // Nothing observed.
-  // Key-range morsels carry no page spans: also identity.
-  MorselSource keyed(MorselSource::KeyRanges({0, 10, 20}));
-  keyed.RecordBatchFill(100, 1024);
-  EXPECT_EQ(keyed.SuggestMorselPages(64, 32), 64u);
 }
 
 }  // namespace

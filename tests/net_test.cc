@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -26,7 +27,7 @@
 #include "net/wire_client.h"
 #include "plan/query_text.h"
 #include "sharing/scan_sharing.h"
-#include "workload/workload_driver.h"
+#include "workload/micro_bench.h"
 #include "write/table_writer.h"
 
 namespace smoothscan {
@@ -118,6 +119,43 @@ TEST(FrameCodecTest, DonePayloadRoundTripsBitIdentically) {
   EXPECT_TRUE(back.metrics.parallel);
   EXPECT_TRUE(back.metrics.cancelled);
   EXPECT_EQ(back.keys, result.keys);
+
+  // Hostile DONE payloads: a status outside StatusCode, or a sign or
+  // whitespace in a decimal field, is rejected rather than cast or wrapped.
+  for (const char* bad : {"5 status=99", "5 status=-1", "-1 status=0",
+                          "5 tuples=-1", "5 kind=+1", "5 seq_ios=\t2"}) {
+    QueryResult ignored;
+    EXPECT_FALSE(ParseDonePayload(bad, &tag, &ignored).ok()) << bad;
+  }
+}
+
+TEST(FrameCodecTest, LaggingReaderRetainsOnlyUnconsumedBytes) {
+  // 2,000 BATCH frames of 10,000-byte payloads, arriving in 4,096-byte reads
+  // and popped after every read: the decoder may hold at most the partial
+  // frame it is assembling plus one read, never the bytes already popped.
+  const std::string payload(10000, 'x');
+  std::string frame;
+  EncodeFrame({FrameType::kBatch, payload}, &frame);
+  std::string wire;
+  for (int i = 0; i < 2000; ++i) wire += frame;
+
+  constexpr size_t kRead = 4096;
+  FrameDecoder decoder;
+  size_t popped = 0;
+  size_t peak = 0;
+  for (size_t off = 0; off < wire.size(); off += kRead) {
+    const size_t n = std::min(kRead, wire.size() - off);
+    ASSERT_TRUE(decoder.Feed(wire.data() + off, n).ok());
+    peak = std::max(peak, decoder.buffered());
+    Frame f;
+    while (decoder.Pop(&f)) {
+      ASSERT_EQ(f.payload.size(), payload.size());
+      ++popped;
+    }
+  }
+  EXPECT_EQ(popped, 2000u);
+  EXPECT_LE(peak, frame.size() + kRead);
+  EXPECT_EQ(decoder.buffered(), 0u);
 }
 
 TEST(FrameCodecTest, DecoderPoisonsOnHostileHeaders) {
@@ -151,6 +189,24 @@ TEST(FrameCodecTest, DecoderPoisonsOnHostileHeaders) {
     EXPECT_FALSE(decoder.Pop(&f));
     ASSERT_TRUE(decoder.Feed(wire.data() + wire.size() - 3, 3).ok());
     EXPECT_TRUE(decoder.Pop(&f));
+  }
+}
+
+// ------------------------------------------------------------ query text
+
+TEST(QueryTextTest, DopHintIsBounded) {
+  // A parallel scan without a shared scheduler starts `dop` threads, so a
+  // peer's DOP hint must be bounded at parse time — never truncated to
+  // 32 bits, never wrapped from a sign.
+  const std::string prefix =
+      "SELECT * FROM t WHERE C1 >= 0 AND C1 < 9 WITH (DOP=";
+  Result<ParsedStatement> ok =
+      ParseQueryText(prefix + std::to_string(kMaxQueryDop) + ")");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().dop, kMaxQueryDop);
+  for (const char* bad : {"65", "1000000", "4294967296", "4294967297",
+                          "18446744073709551616", "-1", "+2"}) {
+    EXPECT_FALSE(ParseQueryText(prefix + bad + ")").ok()) << bad;
   }
 }
 

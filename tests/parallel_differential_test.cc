@@ -4,8 +4,7 @@
 // engine accounting at DOP 1, 2 and 8 across all five paths and all three
 // morph policies. The page-range parallel full scan goes further: its summed
 // charges equal the serial scan's exactly. Also covers the Close()/re-Open()
-// contract of the parallel paths, the task scheduler, and the per-worker
-// deterministic Rng streams.
+// contract of the parallel paths, the task scheduler, and Rng forking.
 
 #include <gtest/gtest.h>
 
@@ -152,7 +151,7 @@ TEST_F(ParallelDifferentialTest, ParallelScanChargesItsExecContext) {
     engine_->ColdRestart();
     engine_->disk().ResetAll();
     engine_->cpu().Reset();
-    QueryContext qctx(engine_.get());
+    PrivateContext qctx(engine_.get());
     path->SetExecContext(&qctx.ctx());
     EXPECT_TRUE(path->Open().ok()) << label;
     std::multiset<int64_t> got;
@@ -513,17 +512,6 @@ TEST(TaskSchedulerTest, GroupsCanOverlap) {
   gb->Wait();
   EXPECT_EQ(a.load(), 2);
   EXPECT_EQ(b.load(), 1);
-}
-
-TEST(TaskSchedulerTest, WorkerRngStreamsAreReproducibleAndDistinct) {
-  TaskScheduler s1(4, /*rng_seed=*/99);
-  TaskScheduler s2(4, /*rng_seed=*/99);
-  for (uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(s1.worker_rng(w)->Next(), s2.worker_rng(w)->Next())
-        << "worker " << w;
-  }
-  TaskScheduler s3(2, /*rng_seed=*/100);
-  EXPECT_NE(s1.worker_rng(0)->Next(), s3.worker_rng(0)->Next());
 }
 
 TEST(RngForkTest, DeterministicAndDecorrelated) {

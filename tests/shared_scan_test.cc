@@ -339,7 +339,7 @@ TEST_F(SharedScanTest, SharedSmoothScanFeedsCommonPageIdCache) {
 
   // First attached scan: pays the pass, publishes its probes (its private
   // stack mirrors residency into the engine's shared pool).
-  QueryContext qctx_a(engine_.get(), &engine_->pool());
+  PrivateContext qctx_a(engine_.get(), &engine_->pool());
   SmoothScan a(&db_->index(), pred, shared_options);
   a.SetExecContext(&qctx_a.ctx());
   EXPECT_EQ(Drain(&a), oracle);
@@ -348,7 +348,7 @@ TEST_F(SharedScanTest, SharedSmoothScanFeedsCommonPageIdCache) {
 
   // Second attached scan: same results, but peer-probed resident pages are
   // free — it charges a fraction of the first scan's I/O.
-  QueryContext qctx_b(engine_.get(), &engine_->pool());
+  PrivateContext qctx_b(engine_.get(), &engine_->pool());
   SmoothScan b(&db_->index(), pred, shared_options);
   b.SetExecContext(&qctx_b.ctx());
   EXPECT_EQ(Drain(&b), oracle);
@@ -356,7 +356,7 @@ TEST_F(SharedScanTest, SharedSmoothScanFeedsCommonPageIdCache) {
   EXPECT_LT(qctx_b.disk().stats().pages_read, pages_a / 2);
 
   // Control: an unattached scan on a fresh private stack re-pays everything.
-  QueryContext qctx_c(engine_.get(), &engine_->pool());
+  PrivateContext qctx_c(engine_.get(), &engine_->pool());
   SmoothScan c(&db_->index(), pred, SmoothScanOptions());
   c.SetExecContext(&qctx_c.ctx());
   EXPECT_EQ(Drain(&c), oracle);
