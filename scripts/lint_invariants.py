@@ -56,9 +56,14 @@ one of the engine's structural invariants:
                      the tests: in src/ or in the sibling bench/,
                      examples/ or perfbench/ trees. An option nothing sets
                      is a constant with extra steps; make it one, or mark
-                     a test seam with a reasoned allow. Matching is by
-                     field name, so a name shared by two structs counts as
-                     set when either is.
+                     a test seam with a reasoned allow. The receiver of
+                     `x.f =` is typed by the nearest declaration of `x`
+                     above it in the file (else any in the file, else in a
+                     .cc's paired .h), and `.member` chains are walked
+                     through the Options field types, so a same-named
+                     member of another struct does not count. A receiver
+                     that cannot be typed (auto, templates, call results)
+                     counts as a setter of every field of that name.
 
 A deliberate exception is suppressed with `lint:allow(<rule>)` in a comment
 on the offending line or the line directly above it — greppable, per-rule,
@@ -197,7 +202,21 @@ OPTIONS_STRUCT_RE = re.compile(r"^\s*struct\s+(\w*Options)\s*\{")
 # One single-line data member: `<type> <name> [= init | {init}];`.
 FIELD_RE = re.compile(
     r"^\s*(?!static\b|using\b|friend\b|return\b|typedef\b)"
-    r"[\w:<>,*&\s]+?[\s*&](\w+)\s*(?:=[^;]*|\{[^;]*\})?;\s*$")
+    r"([\w:<>,*&\s]+?)[\s*&](\w+)\s*(?:=[^;]*|\{[^;]*\})?;\s*$")
+# A setter: an lvalue chain `root(.|->)m1...(.|->)mk` (subscripts allowed)
+# followed by an assignment, a compound assignment or .push_back(.
+SETTER_TAIL = r"(?:\s*[-+*/|&]?=(?!=)|\.(?:push_back|emplace_back)\()"
+ROOTED_SETTER_RE = re.compile(
+    r"(?<![\w.>])([A-Za-z_]\w*)"
+    r"((?:(?:\[[^\]]*\])?(?:\.|->)\w+)+)" + SETTER_TAIL)
+ANY_SETTER_RE = re.compile(r"(?:\.|->)(\w+)((?:\.\w+)*)" + SETTER_TAIL)
+MEMBER_RE = re.compile(r"(?:\.|->)(\w+)")
+# Words that can stand where a declaration's type does but are not types.
+NOT_A_TYPE = {"return", "else", "case", "delete", "new", "throw", "goto",
+              "sizeof", "co_return", "co_yield", "using", "typedef",
+              "namespace", "operator", "public", "private", "protected"}
+DECL_QUALIFIERS = re.compile(
+    r"\b(?:const|constexpr|static|mutable|inline|volatile|struct|class)\b")
 
 
 def strip_comment(line):
@@ -248,8 +267,8 @@ def read_lines(path):
 
 
 def option_fields(lines):
-    """Yields (lineno, struct, field, allows) for every data member declared
-    directly in a `struct ...Options { ... };` body."""
+    """Yields (lineno, struct, field, type, allows) for every data member
+    declared directly in a `struct ...Options { ... };` body."""
     struct, depth, pending_allows = None, 0, set()
     for lineno, raw in enumerate(lines, start=1):
         allows = allowed_rules(raw) | pending_allows
@@ -265,7 +284,7 @@ def option_fields(lines):
         if depth == 1 and "(" not in code.split("=")[0]:
             m = FIELD_RE.match(code)
             if m:
-                yield lineno, struct, m.group(1), allows
+                yield lineno, struct, m.group(2), m.group(1), allows
         depth += code.count("{") - code.count("}")
         if depth <= 0:
             struct = None
@@ -276,30 +295,123 @@ def is_test_path(rel):
     return "tests" in parts or parts[-1].endswith("_test.cc")
 
 
+def base_type(decl):
+    """The struct name a declared type names (`const smoothscan::FooOptions&`
+    -> `FooOptions`), or None when it cannot be named: auto, templates,
+    keywords."""
+    decl = DECL_QUALIFIERS.sub(" ", decl).replace("*", " ").replace("&", " ")
+    words = decl.split()
+    if len(words) != 1 or "<" in words[0]:
+        return None
+    name = words[0].split("::")[-1]
+    if not name or name == "auto" or name in NOT_A_TYPE:
+        return None
+    return name
+
+
+def declarations(lines, var):
+    """Yields (lineno, type or None) for every declaration of `var` in
+    `lines`: a type (with qualifiers, * and &) directly before the name, at
+    the start of a statement, parameter or member."""
+    decl = re.compile(
+        r"(?:^|[(,;{])\s*((?:[A-Za-z_][\w:]*(?:<[^;()]*>)?[\s*&]+)+?)"
+        r"\b" + re.escape(var) + r"\s*(?=[;=,){\[(:]|$)")
+    for lineno, line in enumerate(lines, start=1):
+        for m in decl.finditer(line):
+            typ = m.group(1)
+            if typ.split()[0] in NOT_A_TYPE:
+                continue
+            yield lineno, base_type(typ)
+
+
+class ReceiverTyper:
+    """Types the root variable of a setter chain by its declaration: the
+    nearest one above the use, else any in the file, else any in the paired
+    .h of a .cc. None = unresolved."""
+
+    def __init__(self, path, lines):
+        self.lines = lines
+        self.cache = {}  # var -> [(lineno, type)]
+        self.paired = None
+        stem, ext = os.path.splitext(path)
+        if ext in (".cc", ".cpp") and os.path.exists(stem + ".h"):
+            self.paired = [strip_comment(l) for l in read_lines(stem + ".h")]
+
+    def type_of(self, var, lineno):
+        if var not in self.cache:
+            self.cache[var] = list(declarations(self.lines, var))
+        decls = self.cache[var]
+        before = [d for d in decls if d[0] <= lineno]
+        if before:
+            return before[-1][1]
+        if decls:
+            return decls[0][1]
+        if self.paired is not None:
+            for _, typ in declarations(self.paired, var):
+                return typ
+        return None
+
+
+def option_setters(lines, path, fields):
+    """The Options fields a file's code sets: a set of (struct, field) for
+    typed receivers, and a set of bare field names for setters whose
+    receiver could not be typed (they count for every struct)."""
+    typed, untyped = set(), set()
+    typer = ReceiverTyper(path, lines)
+    for lineno, line in enumerate(lines, start=1):
+        covered = []  # Spans of the typed chains on this line.
+        for m in ROOTED_SETTER_RE.finditer(line):
+            members = MEMBER_RE.findall(m.group(2))
+            covered.append(m.span())
+            struct = typer.type_of(m.group(1), lineno)
+            for member in members:
+                if struct is None:
+                    untyped.add(member)  # Unresolved: the rest by name.
+                    continue
+                typed.add((struct, member))
+                # Walk into the member's type; only Options field types are
+                # known, so any other struct's member chain goes by name.
+                if struct in fields:
+                    struct = base_type(fields[struct].get(member, "auto"))
+                else:
+                    struct = None
+        for m in ANY_SETTER_RE.finditer(line):
+            if not any(lo <= m.start() < hi for lo, hi in covered):
+                untyped.add(m.group(1))
+                untyped.update(MEMBER_RE.findall(m.group(2)))
+    return typed, untyped
+
+
 def lint_dead_options(root):
     """The dead-option rule: cross-file, so it runs apart from the per-line
     rules."""
+    declared = []  # (rel, lineno, struct, field, allows)
+    fields = {}    # struct -> {field: declared type}
+    for path, rel in iter_source_files(root, HEADER_EXTS):
+        for lineno, struct, field, typ, allows in option_fields(
+                read_lines(path)):
+            declared.append((rel, lineno, struct, field, allows))
+            fields.setdefault(struct, {})[field] = typ
     parent = os.path.dirname(os.path.abspath(root))
     trees = [root] + [os.path.join(parent, d) for d in OPTION_CALLER_DIRS]
-    code = []
+    typed, untyped = set(), set()
     for tree in trees:
         for path, rel in iter_source_files(tree, CALLER_EXTS):
-            if not is_test_path(rel):
-                code.extend(strip_comment(l) for l in read_lines(path))
-    code = "\n".join(code)
-    violations = []
-    for path, rel in iter_source_files(root, HEADER_EXTS):
-        for lineno, struct, field, allows in option_fields(read_lines(path)):
-            if "dead-option" in allows:
+            if is_test_path(rel):
                 continue
-            setter = re.compile(
-                r"(?:\.|->)" + field + r"(?:\.\w+)*"
-                r"(?:\s*[-+*/|&]?=(?!=)|\.(?:push_back|emplace_back)\()")
-            if not setter.search(code):
-                violations.append((rel, lineno, "dead-option",
-                                   f"{struct}::{field} is set by no non-test "
-                                   "code (make it a constant, or allow a "
-                                   "test seam with a reason)"))
+            lines = [strip_comment(l) for l in read_lines(path)]
+            t, u = option_setters(lines, path, fields)
+            typed |= t
+            untyped |= u
+    violations = []
+    for rel, lineno, struct, field, allows in declared:
+        if "dead-option" in allows:
+            continue
+        if (struct, field) not in typed and field not in untyped:
+            violations.append((rel, lineno, "dead-option",
+                               f"{struct}::{field} is set by no non-test "
+                               "code (make it a constant, or allow a "
+                               "test seam with a reason)"))
     return violations
 
 

@@ -186,6 +186,63 @@ class LintTest(unittest.TestCase):
                           (os.path.join("scan", "scan.h"), 8, "dead-option")])
         self.assertIn("ScanOptions::hint", violations[0][3])
 
+    def test_dead_option_ignores_same_named_member_of_another_struct(self):
+        self.write("scan/scan.h",
+                   "struct ScanOptions {\n"
+                   "  uint32_t window = 32;\n"
+                   "  Pool* pool = nullptr;\n"
+                   "};\n"
+                   "struct Context {\n"
+                   "  Pool* pool = nullptr;\n"
+                   "};\n")
+        self.write("scan/scan.cc",
+                   "void F(Context* ctx) { ctx->pool = MakePool(); }\n")
+        self.write("fig.cc",
+                   "struct Config { uint32_t window; };\n"
+                   "void Run() {\n"
+                   "  Config cfg;\n"
+                   "  cfg.window = 64;\n"
+                   "}\n", tree="bench")
+        violations = self.lint(["dead-option"])
+        self.assertEqual([m.split(" ")[0] for (_, _, _, m) in violations],
+                         ["ScanOptions::window", "ScanOptions::pool"])
+
+    def test_dead_option_walks_member_chains_through_option_types(self):
+        self.write("scan/scan.h",
+                   "struct ScanOptions {\n"
+                   "  uint32_t window = 32;\n"
+                   "};\n"
+                   "struct OtherOptions {\n"
+                   "  uint32_t window = 32;  // Same name, never set.\n"
+                   "};\n"
+                   "struct RunOptions {\n"
+                   "  ScanOptions scan;\n"
+                   "};\n")
+        self.write("fig.cc",
+                   "void Run(const Db& db) {\n"
+                   "  RunOptions ro;\n"
+                   "  ro.scan.window = db.pages() / 8;\n"
+                   "}\n", tree="bench")
+        violations = self.lint(["dead-option"])
+        self.assertEqual([m.split(" ")[0] for (_, _, _, m) in violations],
+                         ["OtherOptions::window"])
+
+    def test_dead_option_counts_unresolved_receivers_by_name(self):
+        self.write("scan/scan.h",
+                   "struct ScanOptions {\n"
+                   "  uint32_t window = 32;\n"
+                   "  uint32_t depth = 2;\n"
+                   "  uint32_t hint = 0;\n"
+                   "};\n")
+        self.write("fig.cc",
+                   "void Run() {\n"
+                   "  auto& o = Defaults();\n"
+                   "  o.window = 64;\n"
+                   "  Defaults().depth = 3;\n"
+                   "  undeclared.hint += 1;\n"
+                   "}\n", tree="bench")
+        self.assertEqual(self.lint(["dead-option"]), [])
+
     def test_same_line_allow_suppresses(self):
         self.write("access/scan.cc",
                    "engine_->disk().Access(r);  // lint:allow(ctx-charging)\n")

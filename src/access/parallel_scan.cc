@@ -37,8 +37,7 @@ ParallelScan::ParallelScan(Engine* engine,
                            ParallelScanOptions options)
     : engine_(engine),
       kernel_(std::move(kernel)),
-      options_(options),
-      pool_(options_.batch_pool) {
+      options_(options) {
   SMOOTHSCAN_CHECK(options_.dop >= 1);
   SMOOTHSCAN_CHECK(options_.morsel_pages >= 1);
 }
@@ -94,7 +93,7 @@ Status ParallelScan::OpenImpl() {
   // resolve-at-Open (the engine SetObs()s the path before Open).
   kernel_->BindObs(obs());
   if (pool_ == nullptr) {
-    // Owned pool lives as long as the operator, not one Open cycle, so a
+    // The pool lives as long as the operator, not one Open cycle, so a
     // re-Open starts with every batch of the previous cycle warm.
     BatchPoolOptions pool_options;
     pool_options.recycle = options_.recycle_batches;
@@ -104,8 +103,7 @@ Status ParallelScan::OpenImpl() {
           m->counter("batchpool.acquires"), m->counter("batchpool.reuses"),
           m->counter("batchpool.releases"), m->counter("batchpool.sheds")};
     }
-    owned_pool_ = std::make_unique<BatchPool>(pool_options, ctx().mem);
-    pool_ = owned_pool_.get();
+    pool_ = std::make_unique<BatchPool>(pool_options, ctx().mem);
   }
   settle_ = ctx();
   // Every stream of the cycle mirrors and reports like the context's pool.
@@ -113,7 +111,7 @@ Status ParallelScan::OpenImpl() {
     auto mc = std::make_unique<PrivateContext>(engine_, ctx().pool->mirror(),
                                                /*num_shards=*/1);
     mc->pool().SetMetricsSink(ctx().pool->metrics_sink());
-    mc->SetBatchPool(pool_);
+    mc->SetBatchPool(pool_.get());
     mc->SetMemScope(ctx().mem);
     return mc;
   };

@@ -86,13 +86,8 @@ struct ParallelScanOptions {
   uint32_t max_key_morsels = 32;
   /// Optional shared worker pool; the scan owns a private one when null.
   TaskScheduler* scheduler = nullptr;
-  /// Recycled-batch pool the kernels draw output batches from. Null: the
-  /// scan owns a private pool, built at the first Open and kept across Open
-  /// cycles (steady-state reuse). An external pool lets one query's
-  /// operators share a free list.
-  BatchPool* batch_pool = nullptr;
-  /// Ablation knob for the owned pool: false reverts to allocate-per-batch
-  /// (bench_mem_governance's baseline). No effect on an external pool.
+  /// Ablation knob for the scan's batch pool: false reverts to
+  /// allocate-per-batch (bench_mem_governance's baseline).
   bool recycle_batches = true;
 };
 
@@ -159,9 +154,9 @@ class ParallelScan : public AccessPath {
   /// Valid after Open().
   size_t num_morsels() const { return source_ != nullptr ? source_->size() : 0; }
   const ParallelScanKernel* kernel() const { return kernel_.get(); }
-  /// The batch pool the kernels draw from (owned or external; an owned pool
-  /// exists from the first Open on).
-  const BatchPool* batch_pool() const { return pool_; }
+  /// The batch pool the kernels draw output batches from: built at the
+  /// first Open and kept across Open cycles (steady-state reuse).
+  const BatchPool* batch_pool() const { return pool_.get(); }
 
  protected:
   Status OpenImpl() override;
@@ -191,8 +186,7 @@ class ParallelScan : public AccessPath {
   std::unique_ptr<ParallelScanKernel> kernel_;
   ParallelScanOptions options_;
   std::unique_ptr<TaskScheduler> owned_scheduler_;
-  std::unique_ptr<BatchPool> owned_pool_;
-  BatchPool* pool_ = nullptr;
+  std::unique_ptr<BatchPool> pool_;
   /// The context the current cycle settles into (ctx() as of its Open).
   ExecContext settle_;
 

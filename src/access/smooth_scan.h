@@ -213,7 +213,6 @@ class SmoothScan : public AccessPath {
 
   const char* name() const override { return "SmoothScan"; }
 
-  const SmoothScanOptions& options() const { return options_; }
   const SmoothScanStats& smooth_stats() const { return sstats_; }
   uint32_t current_region_pages() const { return region_pages_; }
   /// Moves the spill buffer out, warm (its slots keep their Value storage),

@@ -57,9 +57,6 @@ enum class LatchRank : int {
                         ///< is legal from under any engine latch (paths
                         ///< register counters inside Open, which can run
                         ///< under kParallelScan); only leaf data under it.
-  kObsSampler = 115,    ///< obs::RegistrySampler::mu_ (tick cv). Ranked
-                        ///< above kBroker/kObsMetrics: a sampler tick reads
-                        ///< broker snapshots and registry gauges under it.
   kSmoothSpill = 108,   ///< ParallelSmoothScanKernel::spill_mu_ (warm
                         ///< spill-buffer stack). Pure leaf: a worker holding
                         ///< nothing pops or pushes one buffer under it.
@@ -90,8 +87,7 @@ enum class LatchRank : int {
 
   // --- execution substrate ----------------------------------------------
   kTaskGroup = 410,      ///< TaskGroup::mu_ (completion latch).
-  kScheduler = 420,      ///< TaskScheduler::mu_. SharedScanGroup::PumpLocked
-                         ///< submits pump tasks under the group latch.
+  kScheduler = 420,      ///< TaskScheduler::mu_ (task queue).
   kParallelScan = 440,   ///< ParallelScan::mu_. Recycling an emit slot runs
                          ///< PooledBatch dtors (→ batch pool) under it.
   kCompressedMap = 460,  ///< CompressedExtentMap::mu_. Rebuild evicts pool
@@ -99,7 +95,7 @@ enum class LatchRank : int {
 
   // --- cross-query layers ------------------------------------------------
   kSharedGroup = 480,  ///< SharedScanGroup::mu_. ProduceOneLocked fetches
-                       ///< through the pool and charges the broker scope.
+                       ///< through the pool under it.
   kCoordinator = 500,  ///< ScanSharingCoordinator::mu_. Holds while reading
                        ///< group stats / invalidating groups.
 

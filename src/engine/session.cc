@@ -62,10 +62,6 @@ void QueryHandle::Cancel() {
 
 // -------------------------------------------------------------- QueryBuilder
 
-QueryBuilder::QueryBuilder(Session* session) : session_(session) {
-  spec_.lane = session->options().lane;
-}
-
 QueryHandle QueryBuilder::Submit() {
   return session_->SubmitSpec(std::move(spec_), stream_);
 }

@@ -11,7 +11,7 @@
 //   ...
 //   QueryResult r = h.Wait();
 //
-// A Session owns a tenant lane default and an *outstanding-query window*:
+// A Session owns an *outstanding-query window*:
 // Submit() blocks while `window()` queries are in flight, which is the
 // client-side half of the engine's admission control (and the knob the
 // network server turns for backpressure — see net/server.h). A QueryHandle
@@ -46,9 +46,6 @@ class Session;
 class QueryBuilder;
 
 struct SessionOptions {
-  /// Default lane for queries of this session (the tenant lane); a builder's
-  /// Lane() overrides per query.
-  QueryLane lane = QueryLane::kBatch;
   /// Outstanding-query window: Submit() blocks while this many of the
   /// session's queries are in flight. The network server shrinks it under
   /// overload (see net/server.h "backpressure").
@@ -181,8 +178,8 @@ class QueryBuilder {
   }
   /// Replaces the assembled spec wholesale — the hook for in-tree callers
   /// that bind a QuerySpec elsewhere (the network server binds from query
-  /// text via plan/query_text.h). Resets the session's lane default; the
-  /// caller owns the lane decision.
+  /// text via plan/query_text.h). Replaces everything set so far, lane
+  /// included; the caller owns the lane decision.
   QueryBuilder& FromSpec(QuerySpec spec) {
     spec_ = std::move(spec);
     return *this;
@@ -196,7 +193,7 @@ class QueryBuilder {
 
  private:
   friend class Session;
-  explicit QueryBuilder(Session* session);
+  explicit QueryBuilder(Session* session) : session_(session) {}
 
   Session* session_;
   QuerySpec spec_;
@@ -213,11 +210,11 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Starts a query builder with this session's defaults.
+  /// Starts a query builder. Queries run on the batch lane unless the
+  /// builder's Lane() (or FromSpec) says otherwise.
   QueryBuilder Query() { return QueryBuilder(this); }
 
   QueryEngine* engine() const { return engine_; }
-  const SessionOptions& options() const { return options_; }
 
   /// Live window size (see SessionOptions::max_outstanding). Shrinking it
   /// below the in-flight count stalls the next Submit until enough queries

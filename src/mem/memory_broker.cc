@@ -4,22 +4,6 @@
 
 namespace smoothscan {
 
-const char* MemoryClassName(MemoryClass cls) {
-  switch (cls) {
-    case MemoryClass::kBufferPool:
-      return "buffer_pool";
-    case MemoryClass::kResultCache:
-      return "result_cache";
-    case MemoryClass::kSharedScanWindow:
-      return "shared_scan_window";
-    case MemoryClass::kExecBatches:
-      return "exec_batches";
-    case MemoryClass::kOther:
-      return "other";
-  }
-  return "?";
-}
-
 void MemoryBroker::UpdatePressureLocked(uint64_t before, uint64_t after) {
   if (!pressured_.load(std::memory_order_relaxed)) {
     if (before <= options_.global_budget_bytes &&

@@ -39,13 +39,10 @@ namespace smoothscan {
 enum class MemoryClass {
   kBufferPool = 0,
   kResultCache,
-  kSharedScanWindow,
   kExecBatches,
   kOther,
 };
-inline constexpr size_t kNumMemoryClasses = 5;
-
-const char* MemoryClassName(MemoryClass cls);
+inline constexpr size_t kNumMemoryClasses = 4;
 
 struct MemoryBrokerOptions {
   /// Global byte budget across all consumers; charges past it raise the

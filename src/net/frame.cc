@@ -125,10 +125,10 @@ Status FrameDecoder::Feed(const char* data, size_t n) {
   buf_.append(data, n);
   // Validate every complete header immediately, even before its payload
   // arrives: a hostile length must be rejected without buffering toward it.
-  size_t p = pos_;
-  while (buf_.size() - p >= 5) {
-    const uint32_t len = ReadU32Le(buf_.data() + p);
-    const uint8_t type = static_cast<uint8_t>(buf_[p + 4]);
+  // Frames already seen whole were validated by an earlier Feed().
+  while (buf_.size() - checked_ >= 5) {
+    const uint32_t len = ReadU32Le(buf_.data() + checked_);
+    const uint8_t type = static_cast<uint8_t>(buf_[checked_ + 4]);
     if (len > kMaxFramePayload) {
       poisoned_ = true;
       return Status::InvalidArgument("oversized frame payload");
@@ -137,8 +137,8 @@ Status FrameDecoder::Feed(const char* data, size_t n) {
       poisoned_ = true;
       return Status::InvalidArgument("unknown frame type");
     }
-    if (buf_.size() - p - 5 < len) break;
-    p += 5 + len;
+    if (buf_.size() - checked_ - 5 < len) break;
+    checked_ += 5 + len;
   }
   return Status::OK();
 }
@@ -154,6 +154,7 @@ bool FrameDecoder::Pop(Frame* out) {
   // compaction is amortized O(1) per byte.
   if (2 * pos_ >= buf_.size()) {
     buf_.erase(0, pos_);
+    checked_ -= pos_;
     pos_ = 0;
   }
   return true;

@@ -72,6 +72,9 @@ class FrameDecoder {
  private:
   std::string buf_;
   size_t pos_ = 0;  ///< Consumption cursor (see buffered()).
+  /// Start of the first frame Feed() has not yet seen whole (>= pos_): every
+  /// header before it is validated, so each Feed() checks only new frames.
+  size_t checked_ = 0;
   bool poisoned_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -32,9 +33,7 @@ Server::Server(QueryEngine* engine, const QueryCatalog* catalog,
                ServerOptions options)
     : engine_(engine),
       catalog_(catalog),
-      options_(std::move(options)),
-      broker_(options_.broker != nullptr ? options_.broker
-                                         : engine_->options().broker) {}
+      options_(std::move(options)) {}
 
 Server::~Server() { Stop(); }
 
@@ -54,7 +53,6 @@ void Server::Serve(std::unique_ptr<Transport> transport) {
   conns_.push_back(std::make_unique<Conn>(engine_, std::move(transport),
                                           options_.session));
   Conn* conn = conns_.back().get();
-  conn->lane = options_.session.lane;
   conn->configured_window = options_.session.max_outstanding;
   connections_opened_.fetch_add(1, kRelaxed);
   conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
@@ -118,6 +116,7 @@ ServerStats Server::stats() const {
   s.frames_malformed = frames_malformed_.load(kRelaxed);
   s.backpressure_shrinks = backpressure_shrinks_.load(kRelaxed);
   s.window_stalls = closed_window_stalls_.load(kRelaxed);
+  s.drainer_threads = drainer_threads_.load(kRelaxed);
   latch::LatchGuard lock(mu_);
   for (const auto& c : conns_) {
     if (!c->done.load(kRelaxed)) {
@@ -267,13 +266,17 @@ void Server::HandleQuery(Conn* conn, uint64_t tag, std::string_view text) {
   QueryHandle h =
       conn->session.Query().FromSpec(std::move(spec)).Stream().Submit();
   auto handle = std::make_shared<QueryHandle>(std::move(h));
+  JoinDrainers(conn, /*all=*/false);
   latch::LatchGuard lock(conn->mu);
   conn->active[tag] = handle;
-  conn->drainers.emplace_back(
-      [this, conn, tag, handle] { DrainQuery(conn, tag, handle); });
+  Drainer* drainer = &conn->drainers.emplace_back();
+  drainer_threads_.fetch_add(1, kRelaxed);
+  drainer->thread = std::thread([this, conn, drainer, tag, handle] {
+    DrainQuery(conn, drainer, tag, handle);
+  });
 }
 
-void Server::DrainQuery(Conn* conn, uint64_t tag,
+void Server::DrainQuery(Conn* conn, Drainer* self, uint64_t tag,
                         std::shared_ptr<QueryHandle> handle) {
   TupleBatch batch;
   while (handle->NextBatch(&batch)) {
@@ -292,6 +295,23 @@ void Server::DrainQuery(Conn* conn, uint64_t tag,
   WriteFrame(conn, FrameType::kDone, EncodeDonePayload(tag, result));
   latch::LatchGuard lock(conn->mu);
   conn->active.erase(tag);
+  self->exited = true;
+}
+
+void Server::JoinDrainers(Conn* conn, bool all) {
+  std::list<Drainer> joining;
+  {
+    latch::LatchGuard lock(conn->mu);
+    for (auto it = conn->drainers.begin(); it != conn->drainers.end();) {
+      const auto next = std::next(it);
+      // Splicing keeps the node, so a running drainer's pointer stays valid.
+      if (all || it->exited) joining.splice(joining.end(), conn->drainers, it);
+      it = next;
+    }
+  }
+  // Outside the latch: a running drainer takes it as its last act.
+  for (Drainer& d : joining) d.thread.join();
+  drainer_threads_.fetch_sub(joining.size(), kRelaxed);
 }
 
 void Server::WriteFrame(Conn* conn, FrameType type, std::string payload) {
@@ -311,8 +331,9 @@ void Server::ApplyBackpressure(Conn* conn, QueryLane lane) {
   const bool deep =
       engine_->queue_depth() >
       static_cast<size_t>(options_.backpressure_queue_factor) * cap;
+  const MemoryBroker* broker = engine_->options().broker;
   const bool pressured =
-      deep || (broker_ != nullptr && broker_->UnderPressure());
+      deep || (broker != nullptr && broker->UnderPressure());
   const uint32_t target = pressured
                               ? std::max(1u, options_.backpressure_window)
                               : conn->configured_window;
@@ -326,20 +347,16 @@ void Server::TeardownConn(Conn* conn) {
   // The reader spawned every drainer and has exited its loop, so `active`
   // and `drainers` only shrink from here on.
   std::vector<std::shared_ptr<QueryHandle>> live;
-  std::vector<std::thread> drainers;
   {
     latch::LatchGuard lock(conn->mu);
     live.reserve(conn->active.size());
     for (auto& [tag, handle] : conn->active) live.push_back(handle);
-    drainers.swap(conn->drainers);
   }
   // A dropped connection cancels everything it had in flight (in-queue
   // queries never run; executing ones stop at the next batch boundary).
   for (auto& handle : live) handle->Cancel();
   live.clear();
-  for (std::thread& t : drainers) {
-    if (t.joinable()) t.join();
-  }
+  JoinDrainers(conn, /*all=*/true);
   // Both directions down: the peer's next read sees EOF (the close a
   // framing error promised), and late writes fail instead of buffering.
   conn->transport->Shutdown();

@@ -10,11 +10,14 @@
 // through the connection's Session (blocking on its outstanding-query
 // window — the client-visible backpressure) and drained to the client by a
 // per-query drainer thread (BATCH frames as the executor produces batches,
-// one DONE frame with the full result). Frame writes from concurrent
-// drainers are serialized by a per-connection write latch.
+// one DONE frame with the full result). Before it starts a query's drainer,
+// the reader joins every drainer that has exited, so a connection holds
+// its running drainers (at most its window, plus any still writing a DONE
+// frame) and never an unbounded tail of finished ones. Frame writes from
+// concurrent drainers are serialized by a per-connection write latch.
 //
 // Backpressure: before admitting a batch-lane query the server consults the
-// engine's queue depth and the memory broker's pressure flag; overloaded, it
+// engine's queue depth and its memory broker's pressure flag; overloaded, it
 // shrinks the connection's session window to `backpressure_window`, so batch
 // clients stall in their own submit path while the SLA lane (whose window is
 // never shrunk, and which the engine's reserved SLA executors serve) holds
@@ -47,16 +50,14 @@ namespace smoothscan {
 namespace net {
 
 struct ServerOptions {
-  /// Per-connection session defaults (lane, outstanding window, stream
-  /// window). HELLO may override lane and window per connection.
+  /// Per-connection session defaults (outstanding window, stream window).
+  /// HELLO may set a connection's lane (batch by default) and window.
   SessionOptions session;
   /// Overload threshold: the engine's admission queue is "deep" beyond
   /// `backpressure_queue_factor * max_admitted` queued queries.
   uint32_t backpressure_queue_factor = 2;
   /// Window a batch-lane connection is shrunk to while overloaded (>= 1).
   uint32_t backpressure_window = 1;
-  /// Pressure flag source; null falls back to the engine's broker (if any).
-  MemoryBroker* broker = nullptr;
 };
 
 /// Monotonic server counters (snapshot; individually relaxed).
@@ -69,6 +70,8 @@ struct ServerStats {
   uint64_t frames_malformed = 0;  ///< Framing errors (connection closed).
   uint64_t backpressure_shrinks = 0;  ///< Times a window was shrunk.
   uint64_t window_stalls = 0;  ///< Session submits that blocked on a window.
+  /// Drainer threads held: running, or exited but not yet joined.
+  uint64_t drainer_threads = 0;
 };
 
 class Server {
@@ -103,6 +106,13 @@ class Server {
   ServerStats stats() const;
 
  private:
+  /// One query's drainer thread; `exited` is set (under Conn::mu) as the
+  /// drainer's last act, after which only a join touches it.
+  struct Drainer {
+    std::thread thread;
+    bool exited = false;
+  };
+
   /// One connection: transport + session + active-query registry.
   struct Conn {
     explicit Conn(QueryEngine* engine, std::unique_ptr<Transport> t,
@@ -119,11 +129,12 @@ class Server {
     /// Serializes whole frames onto the transport (drainers interleave).
     latch::Latch write_mu{latch::LatchRank::kNetWrite,
                           "net::Conn::write_mu"};
-    /// Tag → live handle, plus the drainer threads to join at teardown.
+    /// Tag → live handle, plus the drainer threads not yet joined (a list:
+    /// each drainer holds a pointer to its own node).
     latch::Latch mu{latch::LatchRank::kNetConn, "net::Conn::mu"};
     std::unordered_map<uint64_t, std::shared_ptr<QueryHandle>> active
         GUARDED_BY(mu);
-    std::vector<std::thread> drainers GUARDED_BY(mu);
+    std::list<Drainer> drainers GUARDED_BY(mu);
     std::thread reader;
     std::atomic<bool> done{false};  ///< Reader finished; conn reapable.
   };
@@ -131,8 +142,10 @@ class Server {
   void ReaderLoop(Conn* conn);
   void HandleFrame(Conn* conn, const Frame& frame);
   void HandleQuery(Conn* conn, uint64_t tag, std::string_view text);
-  void DrainQuery(Conn* conn, uint64_t tag,
+  void DrainQuery(Conn* conn, Drainer* self, uint64_t tag,
                   std::shared_ptr<QueryHandle> handle);
+  /// Joins the connection's exited drainers, or every drainer when `all`.
+  void JoinDrainers(Conn* conn, bool all);
   void WriteFrame(Conn* conn, FrameType type, std::string payload);
   /// Applies the overload policy to a batch-lane submit (see file comment).
   void ApplyBackpressure(Conn* conn, QueryLane lane);
@@ -144,7 +157,6 @@ class Server {
   QueryEngine* const engine_;
   const QueryCatalog* const catalog_;
   const ServerOptions options_;
-  MemoryBroker* broker_;  ///< Resolved pressure source (may be null).
 
   mutable latch::Latch mu_{latch::LatchRank::kNetListener,
                            "net::Server::mu_"};
@@ -161,6 +173,7 @@ class Server {
   std::atomic<uint64_t> frames_malformed_{0};
   std::atomic<uint64_t> backpressure_shrinks_{0};
   std::atomic<uint64_t> closed_window_stalls_{0};
+  std::atomic<uint64_t> drainer_threads_{0};
 };
 
 }  // namespace net

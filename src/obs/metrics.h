@@ -68,9 +68,9 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Instantaneous signed level (queue depths, resident bytes). Set/Add are
+/// Instantaneous signed level (queue depths, running queries). Set/Add are
 /// single relaxed atomics — gauges are updated at event granularity (query
-/// admission, sampler ticks), never per tuple.
+/// admission and completion), never per tuple.
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }

@@ -14,10 +14,6 @@ SharedScanGroup::SharedScanGroup(Engine* engine, FileId file,
                   options.chunk_pages) {
   SMOOTHSCAN_CHECK(options_.chunk_pages >= 1);
   SMOOTHSCAN_CHECK(options_.drift_chunks >= 1);
-  if (options_.broker != nullptr) {
-    mem_ = options_.broker->Register(MemoryClass::kSharedScanWindow,
-                                     "shared_scan_window");
-  }
 }
 
 SharedScanGroupStats SharedScanGroup::stats() const {
@@ -71,19 +67,8 @@ bool SharedScanGroup::CanProduceLocked() {
   }
   if (head_seq_ >= max_end) return false;  // No one needs another chunk.
   // Never drift more than the bound ahead of the slowest consumer (bounds
-  // the pinned window). Under broker pressure the bound collapses to 1 —
-  // the minimum that still lets every consumer make progress — shedding the
-  // window's slack pages back to the pool instead of growing it.
-  uint64_t drift = options_.drift_chunks;
-  if (options_.broker != nullptr && drift > 1 &&
-      options_.broker->UnderPressure()) {
-    drift = 1;
-    if (head_seq_ >= min_next + drift &&
-        head_seq_ < min_next + options_.drift_chunks) {
-      ++stats_.drift_sheds;  // The full bound would have produced here.
-    }
-  }
-  return head_seq_ < min_next + drift;
+  // the pinned window).
+  return head_seq_ < min_next + options_.drift_chunks;
 }
 
 void SharedScanGroup::ProduceOneLocked() {
@@ -113,41 +98,19 @@ void SharedScanGroup::ProduceOneLocked() {
   ++head_seq_;
   ++stats_.chunks_produced;
   stats_.pages_fetched += count;
-  if (mem_.valid()) {
-    mem_.Charge(static_cast<uint64_t>(count) * engine_->options().page_size);
-  }
-}
-
-void SharedScanGroup::PumpRunLocked() {
-  while (CanProduceLocked()) ProduceOneLocked();
-  cv_.notify_all();
 }
 
 void SharedScanGroup::PumpLocked() {
-  if (pump_pending_ || !CanProduceLocked()) return;
-  if (options_.scheduler == nullptr) {
-    // No data-plane pool: the thread that uncovered the capacity produces.
-    PumpRunLocked();
-    return;
-  }
-  pump_pending_ = true;
-  // The task owns the group, so a pump scheduled just before the last
-  // consumer (or the coordinator) goes away still runs against live state —
-  // it simply finds nothing to produce.
-  auto self = shared_from_this();
-  options_.scheduler->Submit({[self] {
-    latch::LatchGuard lock(self->mu_);
-    self->pump_pending_ = false;
-    self->PumpRunLocked();
-  }});
+  // The thread that uncovered the capacity produces.
+  if (!CanProduceLocked()) return;
+  do {
+    ProduceOneLocked();
+  } while (CanProduceLocked());
+  cv_.notify_all();
 }
 
 void SharedScanGroup::PopFreeChunksLocked() {
   while (!window_.empty() && window_.front()->readers == 0) {
-    if (mem_.valid()) {
-      mem_.Uncharge(static_cast<uint64_t>(window_.front()->num_pages) *
-                    engine_->options().page_size);
-    }
     window_.pop_front();  // Drops the guards: the pages become evictable.
     ++window_base_;
   }
@@ -196,8 +159,8 @@ const SharedChunk* SharedScanGroup::NextChunk(uint32_t id) {
   while (c.next_seq >= head_seq_) {
     PumpLocked();
     if (c.next_seq < head_seq_) break;
-    // Waiting either for the pump task or — when this consumer has hit the
-    // drift bound — for the slowest consumer to advance.
+    // This consumer has hit the drift bound: wait for the slowest consumer
+    // to advance.
     cv_.wait(lock);
   }
   c.holding = true;

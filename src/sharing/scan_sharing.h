@@ -11,13 +11,12 @@
 // produces is identical to a solo scan's — while the *aggregate* pages
 // fetched for N concurrent queries drop from ~N passes toward one.
 //
-// Delivery and pacing: chunk production runs as tasks on the shared
-// TaskScheduler when one is provided (inline in the consumer's thread
-// otherwise) and is bounded by a *slowest-consumer drift bound* — the
-// producer never runs more than `drift_chunks` chunks ahead of the least
-// advanced attached consumer, which caps the pinned chunk window at
-// `drift_chunks * chunk_pages` pages and throttles fast consumers instead of
-// letting the window grow without bound.
+// Delivery and pacing: chunk production runs inline, in the thread of the
+// consumer that uncovers the capacity, and is bounded by a
+// *slowest-consumer drift bound* — the producer never runs more than
+// `drift_chunks` chunks ahead of the least advanced attached consumer, which
+// caps the pinned chunk window at `drift_chunks * chunk_pages` pages and
+// throttles fast consumers instead of letting the window grow without bound.
 //
 // Accounting: chunk fetches charge the engine's shared stream (they are paid
 // once, on behalf of everyone), while each consumer's tuple inspection and
@@ -46,8 +45,6 @@
 #include "access/smooth_scan.h"
 #include "common/latch_rank.h"
 #include "common/thread_annotations.h"
-#include "exec/task_scheduler.h"
-#include "mem/memory_broker.h"
 #include "storage/engine.h"
 #include "storage/heap_file.h"
 
@@ -63,15 +60,6 @@ struct SharedScanOptions {
   /// pages are pinned per group at any moment.
   // lint:allow(dead-option) — tests tighten or widen the window.
   uint32_t drift_chunks = 4;
-  /// Chunk production runs as tasks on this pool (the engine's shared
-  /// data-plane scheduler). Null: the consumer needing the chunk produces it
-  /// inline.
-  TaskScheduler* scheduler = nullptr;
-  /// Memory broker each group reports its pinned window to (null =
-  /// ungoverned). Under global pressure the effective drift bound drops to 1
-  /// — the window sheds slack, but production never stops: correctness and
-  /// per-consumer results are untouched, only pacing tightens.
-  MemoryBroker* broker = nullptr;
 };
 
 /// One produced chunk of the circular scan: a page range held resident by
@@ -95,7 +83,6 @@ struct SharedScanGroupStats {
   uint32_t active_consumers = 0;
   uint64_t chunks_produced = 0;
   uint64_t pages_fetched = 0;  ///< Pages covered by production requests.
-  uint64_t drift_sheds = 0;    ///< Productions deferred by broker pressure.
   uint64_t chunk_claims = 0;   ///< Sum of lap chunks claimed by attaches;
                                ///< chunk_claims / chunks_produced is the
                                ///< sharing fan-out ratio.
@@ -189,9 +176,6 @@ class SharedScanGroup : public std::enable_shared_from_this<SharedScanGroup> {
   bool CanProduceLocked() REQUIRES(mu_);
   void ProduceOneLocked() REQUIRES(mu_);
   /// Produces while capacity allows, then wakes waiters.
-  void PumpRunLocked() REQUIRES(mu_);
-  /// Ensures production is in flight: schedules a pump task (or runs it
-  /// inline without a scheduler) unless one is already pending.
   void PumpLocked() REQUIRES(mu_);
   void ReleaseHeldLocked(ConsumerState* c) REQUIRES(mu_);
   void DropClaimsLocked(uint64_t from_seq, uint64_t end_seq) REQUIRES(mu_);
@@ -202,12 +186,9 @@ class SharedScanGroup : public std::enable_shared_from_this<SharedScanGroup> {
   const PageId num_pages_;
   const SharedScanOptions options_;
   const uint64_t num_chunks_;
-  /// Broker charge for the pinned chunk window (page bytes under guards).
-  MemoryBroker::Consumer mem_;
 
   /// Held across chunk production: fetches through the shared pool (shard
-  /// latches), broker window charges and pump-task submission all nest under
-  /// the group latch, hence its rank above scheduler/pool/broker.
+  /// latches) nest under the group latch, hence its rank above the pool.
   mutable latch::Latch mu_{latch::LatchRank::kSharedGroup,
                            "SharedScanGroup::mu_"};
   std::condition_variable_any cv_;  ///< Signaled on production and detach.
@@ -223,7 +204,6 @@ class SharedScanGroup : public std::enable_shared_from_this<SharedScanGroup> {
   std::deque<ConsumerState> consumers_ GUARDED_BY(mu_);
   std::vector<uint32_t> free_ids_ GUARDED_BY(mu_);
   uint32_t active_consumers_ GUARDED_BY(mu_) = 0;
-  bool pump_pending_ GUARDED_BY(mu_) = false;
   SharedScanGroupStats stats_ GUARDED_BY(mu_);
 };
 
@@ -285,7 +265,6 @@ class ScanSharingCoordinator {
   ScanSharingStats stats() const EXCLUDES(mu_);
 
   Engine* engine() const { return engine_; }
-  const SharedScanOptions& options() const { return options_; }
 
  private:
   Engine* const engine_;

@@ -16,6 +16,9 @@ namespace smoothscan {
 
 /// Engine construction knobs.
 struct EngineOptions {
+  /// Bytes per page.
+  // lint:allow(dead-option) — tests resize pages (256 B to 32 KiB) to shape
+  // how many tuples a page holds.
   uint32_t page_size = kDefaultPageSize;
   /// Buffer-pool capacity in pages (default 8 K pages = 64 MB at 8 KB pages).
   size_t buffer_pool_pages = 8192;

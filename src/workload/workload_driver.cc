@@ -4,12 +4,10 @@
 #include <barrier>
 #include <chrono>
 #include <cstddef>
-#include <memory>
 #include <thread>
 
 #include "common/rng.h"
 #include "engine/session.h"
-#include "obs/sampler.h"
 #include "plan/table_stats.h"
 
 namespace smoothscan {
@@ -247,19 +245,6 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
       1, 2 * db_->heap().num_tuples() /
              std::max<uint64_t>(1, db_->heap().num_pages())));
 
-  // Periodic snapshot reporter: while the clients run, a sampler thread
-  // pulls broker/sharing state into registry gauges every tick; Stop()
-  // samples once more, so the report's snapshot is the end state.
-  std::unique_ptr<obs::RegistrySampler> sampler;
-  if (options.metrics != nullptr) {
-    obs::RegistrySampler::Sources sources;
-    sources.registry = options.metrics;
-    sources.broker = options.broker;
-    sources.sharing = options.sharing;
-    sampler = std::make_unique<obs::RegistrySampler>(sources);
-    sampler->Start(std::chrono::milliseconds(options.snapshot_period_ms));
-  }
-
   std::vector<std::vector<QueryMetrics>> per_client(options.clients);
   const Rng root(options.seed);
   const auto wall_start = std::chrono::steady_clock::now();
@@ -314,9 +299,6 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
   for (std::thread& t : clients) t.join();
   phase_lease.Release();
   const auto wall_end = std::chrono::steady_clock::now();
-  // After the wall-clock stamp so the final synchronous sample never
-  // inflates wall_ms.
-  if (sampler != nullptr) sampler->Stop();
 
   WorkloadReport report;
   report.wall_ms =
@@ -354,14 +336,6 @@ WorkloadReport WorkloadDriver::Run(const WorkloadOptions& options) {
   report.p50_latency_ms = LatencyPercentile(latencies, 0.50);
   report.p95_latency_ms = LatencyPercentile(latencies, 0.95);
   report.p99_latency_ms = LatencyPercentile(latencies, 0.99);
-  if (options.broker != nullptr) {
-    report.mem_peak_total_bytes = options.broker->peak_total_bytes();
-    report.mem_pressure_epochs = options.broker->pressure_epoch();
-    for (size_t i = 0; i < kNumMemoryClasses; ++i) {
-      report.mem_class_bytes[i] =
-          options.broker->class_bytes(static_cast<MemoryClass>(i));
-    }
-  }
   if (options.metrics != nullptr) {
     report.metrics = options.metrics->Snapshot();
   }

@@ -96,18 +96,9 @@ struct WorkloadOptions {
 
   // --- Observability (pure bookkeeping; per-query simulated cost is
   // bit-identical with or without any of it). ---
-  /// Unified metrics registry. When set, Run() spawns a RegistrySampler for
-  /// the duration of the client loop — the periodic snapshot reporter that
-  /// pulls broker/sharing state into registry gauges — samples once more at
-  /// stop, and stores the final registry snapshot in WorkloadReport::metrics.
+  /// Unified metrics registry. When set, Run() stores its final snapshot in
+  /// WorkloadReport::metrics.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Pull-style sampler sources (optional; see obs/sampler.h). `broker` also
-  /// fills the report's mem_class_bytes/peak/pressure fields directly.
-  const MemoryBroker* broker = nullptr;
-  const ScanSharingCoordinator* sharing = nullptr;
-  /// Sampler tick period.
-  // lint:allow(dead-option) — tests tick the sampler fast.
-  uint32_t snapshot_period_ms = 25;
 
   /// The paper's three-phase drift with a lying optimizer: trickle-selective
   /// queries the stats get right, then a mid-selectivity phase the stats
@@ -165,11 +156,6 @@ struct WorkloadReport {
   /// client in each client's submission order — a deterministic order, so
   /// two runs of one configuration align entry for entry.
   std::vector<QueryMetrics> per_query;
-  /// Broker state at run end, indexed by MemoryClass (zeros without
-  /// WorkloadOptions::broker).
-  uint64_t mem_class_bytes[kNumMemoryClasses] = {};
-  uint64_t mem_peak_total_bytes = 0;
-  uint64_t mem_pressure_epochs = 0;
   /// Final registry snapshot — every counter/gauge/histogram at run end,
   /// safe to keep after engine and registry are gone (empty without
   /// WorkloadOptions::metrics).

@@ -2,18 +2,16 @@
 //
 // The contract under test (ISSUE 7): the arena-backed batch pool and the
 // unified memory broker are *accounting and recycling* layers — they may
-// shed storage, spill cached tuples and clamp the shared-scan drift window,
-// but they must never change any query's simulated cost by a single bit,
-// and a warm steady-state scan loop must perform zero heap allocations per
-// batch. The allocation claim is proven with a counting global allocator
+// shed storage and spill cached tuples, but they must never change any
+// query's simulated cost by a single bit, and a warm steady-state scan loop
+// must perform zero heap allocations per batch. The allocation claim is proven with a counting global allocator
 // (suite AllocationRegression, run as its own CI step); the cost claim with
 // exact EXPECT_EQ differentials — pooled vs allocate-per-batch ablation at
 // DOP 1/2/8, and broker on (tight budget + per-query quota, governance
 // visibly firing) vs off through the QueryEngine at admission caps 1/2/8.
 // Also covers: the recycled-batch hand-off across Open cycles (the
-// `pending_ = TupleBatch()` storage-discard regression), deterministic
-// ResultCache pressure spills that lose no tuple, and the shared-scan drift
-// clamp under pressure.
+// `pending_ = TupleBatch()` storage-discard regression) and deterministic
+// ResultCache pressure spills that lose no tuple.
 
 #include <gtest/gtest.h>
 
@@ -34,8 +32,6 @@
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
-#include "sharing/scan_sharing.h"
-#include "sharing/shared_scan_path.h"
 #include "workload/micro_bench.h"
 
 namespace {
@@ -336,12 +332,12 @@ TEST_F(AllocationRegression, SmoothScanHarvestAllocatesPerRegionNotPerTuple) {
 // cost up to twice the allocations, and stay under one per 100 tuples. A
 // buffer rebuilt per morsel allocates once per spilled tuple.
 //
-// Schedule-proofing: the batch pool is pre-warmed past the scan's total
-// batch count, so no interleaving of producers and consumer reaches a cold
-// batch (whose empty rows would also swap cold slots into the spill); and
-// at most `dop` spill buffers ever exist, so once each has grown every
-// cycle is warm — the gate takes the quietest of five warm cycles, immune
-// to which worker ran which morsel. A narrow table on 32 KiB pages (about
+// Schedule-proofing: the scan's batch pool and at most `dop` spill buffers
+// are kept across Open cycles, so once the pool has grown to the scan's
+// peak in-flight batch count (a cold batch's empty rows would also swap
+// cold slots into the spill) and each spill buffer has grown, a cycle is
+// warm — the gate takes the quietest of five warm cycles, immune to which
+// worker ran which morsel and to how far producers ran ahead. A narrow table on 32 KiB pages (about
 // 1.6K tuples a page) keeps the per-page residency allocations of the
 // prolog's and the morsels' private pools well below one per 100 tuples.
 TEST_F(AllocationRegression, ParallelSmoothScanSpillStaysWarmAcrossMorsels) {
@@ -356,23 +352,9 @@ TEST_F(AllocationRegression, ParallelSmoothScanSpillStaysWarmAcrossMorsels) {
   spec.seed = 17;
   const MicroBenchDb db(&engine, spec);
   const ScanPredicate pred = db.PredicateForSelectivity(1.0);
-  BatchPool pool;
-  {
-    std::vector<PooledBatch> warm;
-    FullScan filler(&db.heap(), pred);
-    while (warm.size() < spec.num_tuples / kDefaultBatchSize + 16) {
-      ASSERT_TRUE(filler.Open().ok());
-      for (PooledBatch b = pool.Acquire(); filler.NextBatch(b.get());
-           b = pool.Acquire()) {
-        warm.push_back(std::move(b));
-      }
-      filler.Close();
-    }
-  }
   auto warm_cycle_allocs = [&](uint32_t morsel_pages, size_t* morsels) {
     ParallelScanOptions po = Par(2);
     po.morsel_pages = morsel_pages;
-    po.batch_pool = &pool;
     auto par =
         MakeParallelSmoothScan(&db.index(), pred, SmoothScanOptions(), po);
     TupleBatch batch;
@@ -586,62 +568,6 @@ TEST_F(MemGovernanceTest, ResultCachePressureSpillIsDeterministicAndLossless) {
   EXPECT_EQ(second.pressure_spills, first.pressure_spills)
       << "pressure spilling must be deterministic";
   EXPECT_EQ(second.spilled_tuples, first.spilled_tuples);
-}
-
-TEST_F(MemGovernanceTest, SharedScanShedsDriftUnderPressureWithoutLoss) {
-  const ScanPredicate pred = db_->PredicateForSelectivity(1.0);
-  const std::multiset<int64_t> oracle = Oracle(pred);
-  const uint64_t chunk_bytes =
-      uint64_t{8} * engine_->options().page_size;
-
-  auto run_once = [&](MemoryBroker* broker, uint64_t* max_window_bytes) {
-    SharedScanOptions so;
-    so.chunk_pages = 8;
-    so.drift_chunks = 8;
-    so.broker = broker;
-    ScanSharingCoordinator coordinator(engine_.get(), so);
-    SharedScanPath path(&coordinator, &db_->heap(), pred);
-    EXPECT_TRUE(path.Open().ok());
-    std::multiset<int64_t> got;
-    TupleBatch batch;
-    while (path.NextBatch(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got.insert(batch.row(i)[0].AsInt64());
-      }
-      if (broker != nullptr && max_window_bytes != nullptr) {
-        *max_window_bytes =
-            std::max(*max_window_bytes,
-                     broker->class_bytes(MemoryClass::kSharedScanWindow));
-      }
-    }
-    path.Close();
-    EXPECT_EQ(got, oracle);
-    return coordinator.GroupFor(&db_->heap())->stats();
-  };
-
-  // Control: no broker, the full drift window, no sheds.
-  {
-    const SharedScanGroupStats stats = run_once(nullptr, nullptr);
-    EXPECT_EQ(stats.drift_sheds, 0u);
-  }
-
-  // Under pressure the producer is clamped to one chunk of drift: the
-  // pinned window stays at most two chunks (one held + one ahead), sheds
-  // are counted, and the consumer still completes its full lap.
-  MemoryBrokerOptions bo;
-  bo.global_budget_bytes = 1024;
-  MemoryBroker broker(bo);
-  MemoryBroker::Consumer hog = broker.Register(MemoryClass::kOther, "hog");
-  hog.Charge(64 * 1024);
-  ASSERT_TRUE(broker.UnderPressure());
-  uint64_t max_window_bytes = 0;
-  const SharedScanGroupStats stats = run_once(&broker, &max_window_bytes);
-  EXPECT_GT(stats.drift_sheds, 0u);
-  EXPECT_GT(stats.chunks_produced, 0u);
-  EXPECT_LE(max_window_bytes, 2 * chunk_bytes)
-      << "clamped producer pinned more than held + one ahead";
-  EXPECT_EQ(broker.class_bytes(MemoryClass::kSharedScanWindow), 0u)
-      << "window charges must fully uncharge after the lap";
 }
 
 }  // namespace

@@ -240,11 +240,6 @@ TEST(MemoryBrokerTest, UnregisterReturnsBytes) {
   EXPECT_EQ(broker.total_bytes(), 1u);
 }
 
-TEST(MemoryBrokerTest, MemoryClassNames) {
-  EXPECT_STREQ(MemoryClassName(MemoryClass::kBufferPool), "buffer_pool");
-  EXPECT_STREQ(MemoryClassName(MemoryClass::kExecBatches), "exec_batches");
-}
-
 // ------------------------------------------------------ QueryMemoryScope
 
 TEST(QueryMemoryScopeTest, CountsQuotaBreaches) {

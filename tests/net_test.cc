@@ -180,6 +180,34 @@ TEST(FrameCodecTest, DecoderPoisonsOnHostileHeaders) {
     EXPECT_FALSE(decoder.Feed(wire.data(), wire.size()).ok());
   }
   {
+    // Feed() validates each frame once, from a cursor past the frames it
+    // has seen whole. A hostile header queued behind many never-popped
+    // frames — also after a compaction, and split across reads — must still
+    // be rejected by the Feed() that completes it.
+    std::string frame;
+    EncodeFrame({FrameType::kBatch, std::string(100, 'x')}, &frame);
+    std::string hostile;
+    const uint32_t huge = kMaxFramePayload + 1;
+    hostile.append(reinterpret_cast<const char*>(&huge), 4);
+    hostile.push_back(static_cast<char>(FrameType::kBatch));
+    for (const size_t pops : {size_t{0}, size_t{1500}}) {
+      FrameDecoder decoder;
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(decoder.Feed(frame.data(), frame.size()).ok());
+      }
+      Frame f;
+      for (size_t i = 0; i < pops; ++i) ASSERT_TRUE(decoder.Pop(&f));
+      // Half a frame, then its rest with the first bytes of the hostile
+      // header, then the header's last byte.
+      const size_t half = frame.size() / 2;
+      ASSERT_TRUE(decoder.Feed(frame.data(), half).ok());
+      const std::string rest = frame.substr(half) + hostile.substr(0, 4);
+      ASSERT_TRUE(decoder.Feed(rest.data(), rest.size()).ok()) << pops;
+      EXPECT_FALSE(decoder.Feed(hostile.data() + 4, 1).ok()) << pops;
+      EXPECT_FALSE(decoder.Pop(&f));
+    }
+  }
+  {
     // A truncated frame is not an error — just an incomplete stream.
     FrameDecoder decoder;
     std::string wire;
@@ -367,6 +395,26 @@ TEST(NetServerTest, SessionWindowBackpressureIsVisible) {
   const ServerStats stats = world.server->stats();
   EXPECT_EQ(stats.queries_ok, 6u);
   EXPECT_GT(stats.window_stalls, 0u);
+}
+
+TEST(NetServerTest, FinishedDrainerThreadsAreJoined) {
+  // Each QUERY is drained by its own thread. The reader joins the exited
+  // ones before it starts the next, so 200 queries in sequence on one
+  // window-2 connection never hold more than window + 1 drainer threads.
+  ServedDb world(/*max_admitted=*/2);
+  WireClient client(world.server->ConnectPipe());
+  client.Hello("batch", /*window=*/2);
+  const ScanPredicate pred = world.db->PredicateForSelectivity(0.001);
+  uint64_t peak = 0;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(client.Wait(client.Submit(SelectText(pred, "index", 0)))
+                    .status.ok());
+    peak = std::max(peak, world.server->stats().drainer_threads);
+  }
+  EXPECT_EQ(world.server->stats().queries_ok, 200u);
+  EXPECT_LE(peak, 3u);
+  world.server->Stop();
+  EXPECT_EQ(world.server->stats().drainer_threads, 0u);
 }
 
 TEST(NetServerTest, TcpTransportServesTheSameProtocol) {

@@ -24,10 +24,8 @@
 #include "engine/query_engine.h"
 #include "exec/task_scheduler.h"
 #include "mem/batch_pool.h"
-#include "mem/memory_broker.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "workload/workload_driver.h"
 
@@ -606,20 +604,18 @@ TEST(ReconciliationTest, SmoothCountersMatchOperatorStatsSerialAndParallel) {
             parallel_stats[1].page_cache_hits);
 }
 
-TEST(WorkloadReportTest, CarriesRegistrySnapshotAndBrokerState) {
+TEST(WorkloadReportTest, CarriesRegistrySnapshot) {
   EngineOptions eo;
   eo.buffer_pool_pages = 256;
   Engine engine(eo);
   MicroBenchSpec dbspec;
   dbspec.num_tuples = 20000;
   MicroBenchDb db(&engine, dbspec);
-  MemoryBroker broker{MemoryBrokerOptions()};
   obs::MetricsRegistry registry;
 
   QueryEngineOptions qeo;
   qeo.max_admitted = 2;
   qeo.metrics = &registry;
-  qeo.broker = &broker;
   QueryEngine qe(&engine, qeo);
   WorkloadDriver driver(&engine, &db, &qe);
 
@@ -628,24 +624,15 @@ TEST(WorkloadReportTest, CarriesRegistrySnapshotAndBrokerState) {
   wo.policy = DriverPolicy::kSmoothScan;
   wo.phases = WorkloadOptions::DriftingPhases(/*queries_per_phase=*/2);
   wo.metrics = &registry;
-  wo.broker = &broker;
-  wo.snapshot_period_ms = 5;
   const WorkloadReport report = driver.Run(wo);
 
   EXPECT_EQ(report.queries, 2u * 3u * 2u);
-  // The final registry snapshot rode into the report...
+  // The final registry snapshot rode into the report.
   EXPECT_EQ(static_cast<uint64_t>(report.metrics.Value("engine.completed")),
             report.queries);
   EXPECT_TRUE(report.metrics.Has("engine.latency_us.p95"));
   // Queries charge their private pools, which carry the engine's sink.
   EXPECT_GT(report.metrics.Value("bufferpool.misses"), 0.0);
-  // ...including the sampler's broker gauges, which agree with the direct
-  // broker fields (the sampler's final tick runs after the last query).
-  EXPECT_TRUE(report.metrics.Has("broker.peak_total_bytes"));
-  EXPECT_EQ(static_cast<uint64_t>(
-                report.metrics.Value("broker.peak_total_bytes")),
-            report.mem_peak_total_bytes);
-  EXPECT_GT(report.mem_peak_total_bytes, 0u);  // Pool frames are charged.
 }
 
 }  // namespace

@@ -138,7 +138,6 @@ TEST_F(SharedScanTest, AttachedResultsMatchSoloAcrossPathsAndSelectivities) {
   TaskScheduler scheduler(4);
   SharedScanOptions so;
   so.chunk_pages = 16;
-  so.scheduler = &scheduler;  // Exercise the pump-on-scheduler delivery.
   ScanSharingCoordinator coordinator(engine_.get(), so);
   QueryEngineOptions qeo;
   qeo.max_admitted = 8;
