@@ -1,4 +1,4 @@
-// Memory-governance bench: what the arena-backed batch pool buys and what
+// Memory-governance bench: what the recycling batch pool buys and what
 // the unified broker costs.
 //
 // Part 1 (series "pooled dop=N" / "ablation dop=N"): repeated parallel full

@@ -2,9 +2,12 @@
 """Self-test of the project-invariant linter: proves, with doctored source
 trees, that every rule fires on its violation shape, stays quiet on clean
 code, honors lint:allow suppressions (same-line and comment-block), and
-scopes rules to the right subtrees. Run directly (CI) or via ctest.
+scopes rules to the right subtrees. Also checks the counts of the size
+report (src_size.py). Run directly (CI) or via ctest.
 """
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -12,6 +15,7 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import lint_invariants as lint  # noqa: E402
+import src_size  # noqa: E402
 
 
 class LintTest(unittest.TestCase):
@@ -278,6 +282,30 @@ class LintTest(unittest.TestCase):
         self.assertEqual(lint.main(["--root", self.root]), 0)
         self.write("access/bad.cc", "engine_->disk().Access(r);\n")
         self.assertEqual(lint.main(["--root", self.root]), 1)
+
+    def test_src_size_counts_code_lines_and_option_values(self):
+        self.write("mem/pool.h",
+                   "// File comment.\n"
+                   "\n"
+                   "struct PoolOptions {\n"
+                   "  /// Doc comment.\n"
+                   "  int capacity = 1;\n"
+                   "  bool recycle = true;  // Trailing comment.\n"
+                   "  void Check() const;\n"
+                   "};\n")
+        self.write("mem/pool.cc", "    // Indented comment.\nint x = 0;\n")
+        self.write("mem/notes.txt", "not source\n")
+        self.assertEqual(src_size.code_lines(self.root), 6)
+        self.assertEqual(src_size.option_values(self.root), 2)
+
+    def test_src_size_cli_prints_both_figures(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(src_size.main(), 0)
+        lines = out.getvalue().splitlines()
+        self.assertEqual(len(lines), 2)
+        self.assertRegex(lines[0], r"^src code lines: \d+$")
+        self.assertRegex(lines[1], r"^settable option values: \d+$")
 
 
 if __name__ == "__main__":

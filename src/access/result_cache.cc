@@ -3,48 +3,23 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "write/table_version.h"
 
 namespace smoothscan {
 
 ResultCache::ResultCache(std::vector<int64_t> separators, Engine* engine,
                          ResultCacheOptions options)
-    : separators_(std::move(separators)), engine_(engine), options_(options) {
+    : separators_(std::move(separators)),
+      engine_(engine),
+      options_(options),
+      mem_(options.broker) {
   SMOOTHSCAN_CHECK(std::is_sorted(separators_.begin(), separators_.end()));
   if (options_.max_resident_tuples != UINT64_MAX) {
     SMOOTHSCAN_CHECK(engine_ != nullptr);
   }
   if (options_.broker != nullptr) {
     SMOOTHSCAN_CHECK(engine_ != nullptr);  // Pressure spill charges I/O.
-    mem_ = options_.broker->Register(MemoryClass::kResultCache, "result_cache");
   }
   partitions_.resize(separators_.size() + 1);
-}
-
-ResultCache::~ResultCache() {
-  if (registry_ != nullptr) registry_->RemovePublishHook(hook_token_);
-}
-
-void ResultCache::AttachInvalidation(TableVersionRegistry* registry,
-                                     FileId table) {
-  SMOOTHSCAN_CHECK(registry != nullptr && registry_ == nullptr);
-  registry_ = registry;
-  hook_token_ = registry_->AddPublishHook([this, table](FileId file) {
-    if (file != table) return;
-    Clear();
-    ++invalidations_;
-  });
-}
-
-void ResultCache::Clear() {
-  for (Partition& part : partitions_) {
-    part.tuples.clear();
-    part.spilled = false;
-  }
-  first_live_partition_ = 0;
-  size_ = 0;
-  resident_size_ = 0;
-  SyncBrokerCharge();
 }
 
 void ResultCache::SyncBrokerCharge() {

@@ -36,8 +36,6 @@ namespace obs {
 class Counter;
 }  // namespace obs
 
-class TableVersionRegistry;
-
 struct ResultCacheOptions {
   /// Maximum tuples resident in memory before the furthest partitions spill.
   /// Default: unbounded (no spilling).
@@ -72,23 +70,9 @@ class ResultCache {
   explicit ResultCache(std::vector<int64_t> separators,
                        Engine* engine = nullptr,
                        ResultCacheOptions options = ResultCacheOptions());
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
-
-  /// Subscribes the cache to `table`'s publish notifications: any publish of
-  /// that table Clear()s the cache, because cached tuples were harvested from
-  /// the pre-publish snapshot and may now be stale (deleted, updated, or
-  /// re-keyed). The hook unregisters in the destructor. At most one
-  /// attachment per cache.
-  void AttachInvalidation(TableVersionRegistry* registry, FileId table);
-
-  /// Drops every cached tuple in every partition (spilled ones included) and
-  /// rewinds the live-partition cursor, making all partitions insertable
-  /// again. Cumulative counters (inserts, max_size, spill stats) survive —
-  /// only content is invalidated.
-  void Clear();
 
   /// Inserts the tuple for `tid` under `key`.
   void Insert(int64_t key, Tid tid, Tuple tuple);
@@ -106,8 +90,6 @@ class ResultCache {
   uint64_t resident_size() const { return resident_size_; }
   uint64_t max_size() const { return max_size_; }
   uint64_t inserts() const { return inserts_; }
-  /// Publish-triggered Clear()s since attachment.
-  uint64_t invalidations() const { return invalidations_; }
   const ResultCacheStats& spill_stats() const { return spill_stats_; }
 
  private:
@@ -156,10 +138,6 @@ class ResultCache {
   uint64_t resident_size_ = 0;
   uint64_t max_size_ = 0;
   uint64_t inserts_ = 0;
-  uint64_t invalidations_ = 0;
-
-  TableVersionRegistry* registry_ = nullptr;
-  uint64_t hook_token_ = 0;
 };
 
 }  // namespace smoothscan

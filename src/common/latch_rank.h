@@ -60,9 +60,9 @@ enum class LatchRank : int {
   kSmoothSpill = 108,   ///< ParallelSmoothScanKernel::spill_mu_ (warm
                         ///< spill-buffer stack). Pure leaf: a worker holding
                         ///< nothing pops or pushes one buffer under it.
-  kBroker = 110,     ///< MemoryBroker::mu_. BatchPool charges its account
-                     ///< scope while holding the pool latch, so the broker
-                     ///< sits below the pool.
+  kBroker = 110,     ///< MemoryBroker::mu_. BatchPool charges its query
+                     ///< memory scope while holding the pool latch, so the
+                     ///< broker sits below the pool.
   kBatchPool = 130,  ///< BatchPool::mu_. Release() uncharges the memory
                      ///< scope (→ broker) under the pool latch.
   kNetPipe = 140,       ///< net::Pipe byte-buffer latch. Pure leaf: a pipe

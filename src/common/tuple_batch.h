@@ -129,16 +129,6 @@ class TupleBatch {
     sel_.resize(kept);
   }
 
-  /// Keeps only the first `n` visible rows.
-  void Truncate(size_t n) {
-    if (n >= size()) return;
-    if (sel_active_) {
-      sel_.resize(n);
-    } else {
-      filled_ = n;
-    }
-  }
-
   /// Materializes the selection into a dense prefix so Append* is legal
   /// again. Rows are moved, not copied.
   void Compact() {

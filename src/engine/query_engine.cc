@@ -41,14 +41,12 @@ const char* QueryLaneToString(QueryLane lane) {
 }
 
 QueryEngine::QueryEngine(Engine* engine, QueryEngineOptions options)
-    : engine_(engine), options_(options) {
+    : engine_(engine), options_(options), pool_consumer_(options.broker) {
   SMOOTHSCAN_CHECK(options_.max_admitted >= 1);
   SMOOTHSCAN_CHECK(options_.sla_reserved_slots < options_.max_admitted);
   if (options_.broker != nullptr) {
     // The shared pool's frame memory is a fixed, engine-lifetime footprint:
     // charge it once so every other consumer competes for what remains.
-    pool_consumer_ = options_.broker->Register(MemoryClass::kBufferPool,
-                                               "buffer_pool_frames");
     pool_consumer_.Charge(
         static_cast<uint64_t>(engine_->options().buffer_pool_pages) *
         engine_->options().page_size);

@@ -1,5 +1,5 @@
-// Concrete operators: access-path adapter, filter, project, sort, limit,
-// hash join, index-nested-loops join and hash aggregation — all batch-first.
+// Concrete operators: access-path adapter, filter, sort, hash join,
+// index-nested-loops join and hash aggregation — all batch-first.
 // FilterOp uses the batch's selection vector (no row is copied to drop a
 // row); pipeline-breaking operators (sort, aggregate, hash-join build)
 // consume their children batch-at-a-time.
@@ -61,24 +61,6 @@ class FilterOp : public Operator {
   std::function<bool(const Tuple&)> predicate_;
 };
 
-/// Keeps the listed columns, in the listed order.
-class ProjectOp : public Operator {
- public:
-  ProjectOp(std::unique_ptr<Operator> child, std::vector<int> columns)
-      : child_(std::move(child)), columns_(std::move(columns)) {}
-
-  const char* name() const override { return "Project"; }
-
- protected:
-  Status OpenImpl() override { return child_->Open(); }
-  bool NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override { child_->Close(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<int> columns_;
-};
-
 /// Blocking sort by a caller-supplied comparator; charges n log n CPU.
 class SortOp : public Operator {
  public:
@@ -99,36 +81,6 @@ class SortOp : public Operator {
   std::function<bool(const Tuple&, const Tuple&)> less_;
   std::vector<Tuple> rows_;
   size_t next_ = 0;
-};
-
-/// Emits at most `limit` tuples.
-class LimitOp : public Operator {
- public:
-  LimitOp(std::unique_ptr<Operator> child, uint64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-
-  const char* name() const override { return "Limit"; }
-
- protected:
-  Status OpenImpl() override {
-    emitted_ = 0;
-    return child_->Open();
-  }
-  bool NextBatchImpl(TupleBatch* out) override {
-    if (emitted_ >= limit_) return false;
-    if (!child_->NextBatch(out)) return false;
-    if (out->size() > limit_ - emitted_) {
-      out->Truncate(static_cast<size_t>(limit_ - emitted_));
-    }
-    emitted_ += out->size();
-    return !out->empty();
-  }
-  void CloseImpl() override { child_->Close(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  uint64_t limit_;
-  uint64_t emitted_ = 0;
 };
 
 /// In-memory hash join: builds on the right child, probes with the left.

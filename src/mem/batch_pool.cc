@@ -7,7 +7,7 @@ namespace smoothscan {
 
 namespace {
 
-/// Conservative per-row footprint estimate for the account charge: the Tuple
+/// Conservative per-row footprint estimate for the scope charge: the Tuple
 /// vector header plus a nominal ten-column Value payload (the micro-benchmark
 /// schema). An estimate, not a measurement — governance needs a stable, cheap
 /// number, not per-vector bookkeeping.
@@ -18,9 +18,9 @@ uint64_t WarmBatchBytes(size_t capacity) {
 
 }  // namespace
 
-BatchPool::BatchPool(BatchPoolOptions options, MemoryAccount* account)
+BatchPool::BatchPool(BatchPoolOptions options, QueryMemoryScope* mem)
     : options_(options),
-      account_(account),
+      mem_(mem),
       batch_bytes_(WarmBatchBytes(options.batch_capacity)) {
   SMOOTHSCAN_CHECK(options_.batch_capacity > 0);
 }
@@ -30,9 +30,8 @@ BatchPool::~BatchPool() {
   // Every batch must be back home; a PooledBatch outliving its pool would
   // release into freed state.
   SMOOTHSCAN_CHECK(free_.size() == slots_.size());
-  for (Slot& slot : slots_) {
-    if (slot.charged && account_ != nullptr) account_->Uncharge(batch_bytes_);
-    slot.batch->~TupleBatch();  // Header memory goes with the arena.
+  for (const Slot& slot : slots_) {
+    if (slot.charged && mem_ != nullptr) mem_->Uncharge(batch_bytes_);
   }
 }
 
@@ -49,13 +48,11 @@ PooledBatch BatchPool::Acquire() {
       if (options_.metrics.reuses != nullptr) options_.metrics.reuses->Add();
     }
     slot.warm = false;
-    return PooledBatch(this, index, slot.batch);
+    return PooledBatch(this, index, &slot.batch);
   }
-  Slot slot;
-  slot.batch = arena_.New<TupleBatch>(options_.batch_capacity);
-  slots_.push_back(slot);
+  slots_.emplace_back(options_.batch_capacity);
   ++stats_.fresh_batches;
-  return PooledBatch(this, slots_.size() - 1, slots_.back().batch);
+  return PooledBatch(this, slots_.size() - 1, &slots_.back().batch);
 }
 
 void BatchPool::Release(size_t slot_index) {
@@ -63,22 +60,22 @@ void BatchPool::Release(size_t slot_index) {
   ++stats_.releases;
   if (options_.metrics.releases != nullptr) options_.metrics.releases->Add();
   Slot& slot = slots_[slot_index];
-  slot.batch->Clear();
+  slot.batch.Clear();
   const bool shed =
-      !options_.recycle || (account_ != nullptr && account_->OverQuota());
+      !options_.recycle || (mem_ != nullptr && mem_->OverQuota());
   if (shed) {
-    slot.batch->ReleaseMemory();
+    slot.batch.ReleaseMemory();
     slot.warm = false;
     ++stats_.sheds;
     if (options_.metrics.sheds != nullptr) options_.metrics.sheds->Add();
     if (slot.charged) {
-      if (account_ != nullptr) account_->Uncharge(batch_bytes_);
+      if (mem_ != nullptr) mem_->Uncharge(batch_bytes_);
       slot.charged = false;
     }
   } else {
     slot.warm = true;
     if (!slot.charged) {
-      if (account_ != nullptr) account_->Charge(batch_bytes_);
+      if (mem_ != nullptr) mem_->Charge(batch_bytes_);
       slot.charged = true;
     }
   }

@@ -1,34 +1,32 @@
-// BatchPool: a free-list of recycled TupleBatches whose headers live in a
-// bump Arena and whose row `Value` storage survives recycling — the morsel
-// engine's answer to per-batch heap allocation (Leis et al., SIGMOD 2014
-// design away exactly this steady-state tax). Producers Acquire() a batch,
-// fill it, and move it downstream as a PooledBatch; whoever drains it last
-// releases it (possibly on a different thread), putting the fully-allocated
-// row storage back on the free list for the next fill cycle. In steady state
-// a scan therefore performs zero heap allocations per batch: the header is
-// arena-resident, the row vectors and their Value payloads are the ones the
-// previous cycle populated.
+// BatchPool: a free-list of recycled TupleBatches whose row `Value` storage
+// survives recycling — the morsel engine's answer to per-batch heap
+// allocation (Leis et al., SIGMOD 2014 design away exactly this steady-state
+// tax). Producers Acquire() a batch, fill it, and move it downstream as a
+// PooledBatch; whoever drains it last releases it (possibly on a different
+// thread), putting the fully-allocated row storage back on the free list for
+// the next fill cycle. In steady state a scan therefore performs zero heap
+// allocations per batch: the batch is one the pool already owns, and its row
+// vectors and their Value payloads are the ones the previous cycle populated.
 //
-// Memory governance: an optional MemoryAccount (the query's
-// QueryMemoryScope) is charged a fixed per-batch estimate when a batch's
-// storage goes warm and uncharged when it is shed. When the account reports
-// OverQuota() — the query breached its quota, or the global MemoryBroker is
-// under pressure — Release() drops the batch's row storage instead of
-// keeping it warm: recycling degrades gracefully to the old allocate-per-
-// batch behavior, trading CPU for memory, never failing the query and never
-// touching its simulated cost.
+// Memory governance: an optional QueryMemoryScope is charged a fixed
+// per-batch estimate when a batch's storage goes warm and uncharged when it
+// is shed. When the scope reports OverQuota() — the query breached its
+// quota, or the global MemoryBroker is under pressure — Release() drops the
+// batch's row storage instead of keeping it warm: recycling degrades
+// gracefully to the old allocate-per-batch behavior, trading CPU for memory,
+// never failing the query and never touching its simulated cost.
 
 #ifndef SMOOTHSCAN_MEM_BATCH_POOL_H_
 #define SMOOTHSCAN_MEM_BATCH_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/latch_rank.h"
 #include "common/thread_annotations.h"
 #include "common/tuple_batch.h"
-#include "mem/arena.h"
 #include "mem/memory_broker.h"
 
 namespace smoothscan {
@@ -106,7 +104,7 @@ struct BatchPoolStats {
   uint64_t reuses = 0;     ///< ... of which came warm off the free list.
   uint64_t releases = 0;   ///< Batches returned.
   uint64_t sheds = 0;      ///< Returns that dropped storage (quota/ablation).
-  uint64_t fresh_batches = 0;  ///< Headers constructed in the arena, ever.
+  uint64_t fresh_batches = 0;  ///< Batches constructed, ever.
   /// Acquires that could NOT reuse warm storage — the steady-state metric:
   /// zero over a cycle means the cycle allocated no batch memory.
   uint64_t cold_acquires() const { return acquires - reuses; }
@@ -114,12 +112,12 @@ struct BatchPoolStats {
 
 class BatchPool {
  public:
-  /// `account` (optional, must outlive the pool) is charged for warm batch
+  /// `mem` (optional, must outlive the pool) is charged for warm batch
   /// storage and consulted for shedding; see the file comment.
   explicit BatchPool(BatchPoolOptions options = BatchPoolOptions(),
-                     MemoryAccount* account = nullptr);
+                     QueryMemoryScope* mem = nullptr);
   /// Destroys every batch ever created (all must have been released) and
-  /// uncharges the account.
+  /// uncharges the scope.
   ~BatchPool();
 
   BatchPool(const BatchPool&) = delete;
@@ -131,29 +129,29 @@ class BatchPool {
 
   size_t batch_capacity() const { return options_.batch_capacity; }
   BatchPoolStats stats() const EXCLUDES(mu_);
-  MemoryAccount* account() const { return account_; }
 
  private:
   friend class PooledBatch;
 
   struct Slot {
-    TupleBatch* batch = nullptr;
+    explicit Slot(size_t capacity) : batch(capacity) {}
+    TupleBatch batch;
     bool warm = false;     ///< Row storage populated (free-list entries only).
-    bool charged = false;  ///< Currently charged to the account.
+    bool charged = false;  ///< Currently charged to the scope.
   };
 
   void Release(size_t slot_index) EXCLUDES(mu_);
 
   const BatchPoolOptions options_;
-  MemoryAccount* const account_;
-  /// Bytes one warm batch is charged to the account.
+  QueryMemoryScope* const mem_;
+  /// Bytes one warm batch is charged to the scope.
   const uint64_t batch_bytes_;
 
-  /// Ranked just above the broker: Release() charges/uncharges the account
+  /// Ranked just above the broker: Release() charges/uncharges the query
   /// scope (which forwards into MemoryBroker::mu_) while holding this latch.
   mutable latch::Latch mu_{latch::LatchRank::kBatchPool, "BatchPool::mu_"};
-  Arena arena_ GUARDED_BY(mu_);
-  std::vector<Slot> slots_ GUARDED_BY(mu_);
+  /// A deque, so handed-out batches keep their address as the pool grows.
+  std::deque<Slot> slots_ GUARDED_BY(mu_);
   std::vector<size_t> free_ GUARDED_BY(mu_);
   BatchPoolStats stats_ GUARDED_BY(mu_);
 };

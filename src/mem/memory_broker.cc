@@ -6,8 +6,7 @@ namespace smoothscan {
 
 void MemoryBroker::UpdatePressureLocked(uint64_t before, uint64_t after) {
   if (!pressured_.load(std::memory_order_relaxed)) {
-    if (before <= options_.global_budget_bytes &&
-        after > options_.global_budget_bytes) {
+    if (before <= budget_ && after > budget_) {
       pressured_.store(true, std::memory_order_relaxed);
       pressure_epoch_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -16,36 +15,9 @@ void MemoryBroker::UpdatePressureLocked(uint64_t before, uint64_t after) {
   }
 }
 
-MemoryBroker::Consumer MemoryBroker::Register(MemoryClass cls,
-                                              std::string name) {
-  latch::LatchGuard lock(mu_);
-  size_t id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-  } else {
-    id = entries_.size();
-    entries_.emplace_back();
-  }
-  Entry& e = entries_[id];
-  e = Entry();
-  e.cls = cls;
-  e.name = std::move(name);
-  e.live = true;
-  Consumer c;
-  c.broker_ = this;
-  c.id_ = id;
-  return c;
-}
-
-void MemoryBroker::Charge(size_t id, uint64_t bytes) {
+void MemoryBroker::Charge(uint64_t bytes) {
   if (bytes == 0) return;
   latch::LatchGuard lock(mu_);
-  Entry& e = entries_[id];
-  SMOOTHSCAN_CHECK(e.live);
-  e.bytes += bytes;
-  e.peak_bytes = std::max(e.peak_bytes, e.bytes);
-  class_bytes_[static_cast<size_t>(e.cls)] += bytes;
   const uint64_t before = total_.load(std::memory_order_relaxed);
   const uint64_t after = before + bytes;
   total_.store(after, std::memory_order_relaxed);
@@ -53,35 +25,14 @@ void MemoryBroker::Charge(size_t id, uint64_t bytes) {
   UpdatePressureLocked(before, after);
 }
 
-void MemoryBroker::Uncharge(size_t id, uint64_t bytes) {
+void MemoryBroker::Uncharge(uint64_t bytes) {
   if (bytes == 0) return;
   latch::LatchGuard lock(mu_);
-  Entry& e = entries_[id];
-  SMOOTHSCAN_CHECK(e.live && e.bytes >= bytes);
-  e.bytes -= bytes;
-  class_bytes_[static_cast<size_t>(e.cls)] -= bytes;
   const uint64_t before = total_.load(std::memory_order_relaxed);
+  SMOOTHSCAN_CHECK(before >= bytes);
   const uint64_t after = before - bytes;
   total_.store(after, std::memory_order_relaxed);
   UpdatePressureLocked(before, after);
-}
-
-void MemoryBroker::Unregister(size_t id) {
-  latch::LatchGuard lock(mu_);
-  Entry& e = entries_[id];
-  SMOOTHSCAN_CHECK(e.live);
-  class_bytes_[static_cast<size_t>(e.cls)] -= e.bytes;
-  const uint64_t before = total_.load(std::memory_order_relaxed);
-  const uint64_t after = before - e.bytes;
-  total_.store(after, std::memory_order_relaxed);
-  UpdatePressureLocked(before, after);
-  e = Entry();
-  free_ids_.push_back(id);
-}
-
-uint64_t MemoryBroker::ConsumerBytes(size_t id) const {
-  latch::LatchGuard lock(mu_);
-  return entries_[id].bytes;
 }
 
 uint64_t MemoryBroker::peak_total_bytes() const {
@@ -89,51 +40,20 @@ uint64_t MemoryBroker::peak_total_bytes() const {
   return peak_total_;
 }
 
-uint64_t MemoryBroker::class_bytes(MemoryClass cls) const {
-  latch::LatchGuard lock(mu_);
-  return class_bytes_[static_cast<size_t>(cls)];
-}
-
-std::vector<MemoryConsumerStats> MemoryBroker::ConsumerSnapshots() const {
-  latch::LatchGuard lock(mu_);
-  std::vector<MemoryConsumerStats> out;
-  for (const Entry& e : entries_) {
-    if (!e.live) continue;
-    MemoryConsumerStats s;
-    s.name = e.name;
-    s.cls = e.cls;
-    s.bytes = e.bytes;
-    s.peak_bytes = e.peak_bytes;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 QueryMemoryScope::QueryMemoryScope(MemoryBroker* broker, uint64_t quota_bytes)
-    : broker_(broker), quota_(quota_bytes) {
-  if (broker_ != nullptr) {
-    consumer_ = broker_->Register(MemoryClass::kExecBatches, "query_exec");
-  }
-}
+    : broker_(broker), quota_(quota_bytes), consumer_(broker) {}
 
 void QueryMemoryScope::Charge(uint64_t bytes) {
-  const uint64_t after =
-      bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  const uint64_t after = consumer_.Charge(bytes);
   uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
   while (after > peak && !peak_bytes_.compare_exchange_weak(
                              peak, after, std::memory_order_relaxed)) {
   }
   if (after > quota_) breaches_.fetch_add(1, std::memory_order_relaxed);
-  consumer_.Charge(bytes);
-}
-
-void QueryMemoryScope::Uncharge(uint64_t bytes) {
-  bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  consumer_.Uncharge(bytes);
 }
 
 bool QueryMemoryScope::OverQuota() const {
-  if (bytes_.load(std::memory_order_relaxed) > quota_) return true;
+  if (consumer_.bytes() > quota_) return true;
   return broker_ != nullptr && broker_->UnderPressure();
 }
 

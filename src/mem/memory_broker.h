@@ -1,32 +1,29 @@
-// MemoryBroker: one accounting authority over every memory consumer of the
-// engine — buffer-pool frames, ResultCache resident tuples, shared-scan
-// pinned chunk windows, and per-query execution memory (pooled batches) — the
-// multi-class memory-allocation problem of Brown et al. (VLDB 1994) applied
-// to this engine's consumers.
+// MemoryBroker: one byte budget over every memory consumer of the engine —
+// buffer-pool frames, ResultCache resident tuples and per-query execution
+// memory (pooled batches) — the multi-class memory-allocation problem of
+// Brown et al. (VLDB 1994) reduced to what this engine's consumers need: a
+// total, its peak and a pressure flag.
 //
 // The broker is *advisory*, not a gatekeeper: consumers charge and uncharge
 // bytes as their footprint changes, and poll UnderPressure() / their own
 // QueryMemoryScope quota on their own thread. Under pressure each consumer
 // sheds in its own way — the ResultCache spills its furthest partitions to
-// the simulated overflow file, shared-scan groups clamp their drift window
-// to one chunk, batch pools drop recycled row storage instead of free-listing
-// it. Nothing ever fails: shedding converts memory into (simulated or real)
-// time, never into an error.
+// the simulated overflow file, batch pools drop recycled row storage instead
+// of free-listing it, the network server shrinks batch-lane windows. Nothing
+// ever fails: shedding converts memory into (simulated or real) time, never
+// into an error.
 //
 // Accounting invariant: broker charges are bookkeeping only. No charge or
-// shed decision touches a per-query SimDisk or CpuMeter, and every shed path
-// either charges the engine's *communal* stream (ResultCache spill, like the
-// pre-broker budget spills) or changes only pinned-window slack (shared-scan
-// drift), so per-query simulated cost is bit-identical with the broker on or
-// off, at any quota.
+// shed decision touches a per-query SimDisk or CpuMeter, and the one shed
+// that does I/O (ResultCache spill) charges the engine's *communal* stream,
+// like the pre-broker budget spills, so per-query simulated cost is
+// bit-identical with the broker on or off, at any quota.
 
 #ifndef SMOOTHSCAN_MEM_MEMORY_BROKER_H_
 #define SMOOTHSCAN_MEM_MEMORY_BROKER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/latch_rank.h"
 #include "common/status.h"
@@ -34,105 +31,66 @@
 
 namespace smoothscan {
 
-/// Consumer classes the broker accounts separately (reporting/shedding
-/// policy is per class; the budget is global).
-enum class MemoryClass {
-  kBufferPool = 0,
-  kResultCache,
-  kExecBatches,
-  kOther,
-};
-inline constexpr size_t kNumMemoryClasses = 4;
-
 struct MemoryBrokerOptions {
   /// Global byte budget across all consumers; charges past it raise the
   /// pressure flag (never fail). Default: unbounded.
   uint64_t global_budget_bytes = UINT64_MAX;
-  /// Hysteresis low-water mark: once raised, the pressure flag stays up
-  /// until the total falls to or below this, damping the spill/restore
-  /// ping-pong of consumers hovering at the budget line. 0 (default)
-  /// derives `budget - budget / 8`; must not exceed the budget.
-  // lint:allow(dead-option) — tests pin the hysteresis edge.
-  uint64_t pressure_low_water_bytes = 0;
-};
-
-/// Snapshot of one registered consumer.
-struct MemoryConsumerStats {
-  std::string name;
-  MemoryClass cls = MemoryClass::kOther;
-  uint64_t bytes = 0;
-  uint64_t peak_bytes = 0;
 };
 
 class MemoryBroker {
  public:
-  /// A registered consumer's charging handle. Move-only; unregisters (and
-  /// uncharges any remaining bytes) on destruction.
+  /// One consumer's charging handle. It counts its own bytes — atomically,
+  /// since a parallel query's pools charge from worker threads — and
+  /// forwards every charge to `broker`'s total; with a null broker it only
+  /// counts. Returns whatever it still holds to the broker on destruction.
   class Consumer {
    public:
-    Consumer() = default;
+    explicit Consumer(MemoryBroker* broker) : broker_(broker) {}
     Consumer(const Consumer&) = delete;
     Consumer& operator=(const Consumer&) = delete;
-    Consumer(Consumer&& other) noexcept { Swap(&other); }
-    Consumer& operator=(Consumer&& other) noexcept {
-      if (this != &other) {
-        Unregister();
-        Swap(&other);
-      }
-      return *this;
+    ~Consumer() {
+      if (broker_ != nullptr) broker_->Uncharge(bytes());
     }
-    ~Consumer() { Unregister(); }
 
+    /// True when charges reach a broker.
     bool valid() const { return broker_ != nullptr; }
-    void Charge(uint64_t bytes) {
-      if (broker_ != nullptr) broker_->Charge(id_, bytes);
+    /// Returns this consumer's bytes after the charge.
+    uint64_t Charge(uint64_t bytes) {
+      const uint64_t after =
+          bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+      if (broker_ != nullptr) broker_->Charge(bytes);
+      return after;
     }
     void Uncharge(uint64_t bytes) {
-      if (broker_ != nullptr) broker_->Uncharge(id_, bytes);
+      const uint64_t before =
+          bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+      SMOOTHSCAN_CHECK(before >= bytes);
+      if (broker_ != nullptr) broker_->Uncharge(bytes);
     }
-    uint64_t bytes() const {
-      return broker_ != nullptr ? broker_->ConsumerBytes(id_) : 0;
-    }
-    /// Uncharges whatever is still charged and releases the registration.
-    void Unregister() {
-      if (broker_ != nullptr) broker_->Unregister(id_);
-      broker_ = nullptr;
-    }
+    uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
    private:
-    friend class MemoryBroker;
-    void Swap(Consumer* other) {
-      std::swap(broker_, other->broker_);
-      std::swap(id_, other->id_);
-    }
-    MemoryBroker* broker_ = nullptr;
-    size_t id_ = 0;
+    MemoryBroker* const broker_;
+    std::atomic<uint64_t> bytes_{0};
   };
 
   explicit MemoryBroker(MemoryBrokerOptions options = MemoryBrokerOptions())
-      : options_(options),
-        low_water_(options.pressure_low_water_bytes != 0
-                       ? options.pressure_low_water_bytes
-                       : options.global_budget_bytes -
-                             options.global_budget_bytes / 8) {
-    SMOOTHSCAN_CHECK(low_water_ <= options_.global_budget_bytes);
-  }
+      : budget_(options.global_budget_bytes),
+        low_water_(budget_ - budget_ / 8) {}
 
   MemoryBroker(const MemoryBroker&) = delete;
   MemoryBroker& operator=(const MemoryBroker&) = delete;
 
-  Consumer Register(MemoryClass cls, std::string name) EXCLUDES(mu_);
-
   uint64_t total_bytes() const {
     return total_.load(std::memory_order_relaxed);
   }
-  uint64_t budget() const { return options_.global_budget_bytes; }
-  uint64_t pressure_low_water() const { return low_water_; }
 
   /// True from the charge that pushes the total past the global budget until
-  /// the uncharge that brings it back to the low-water mark (hysteresis: a
-  /// consumer that sheds just below the budget and immediately re-charges no
-  /// longer flaps the flag). Lock-free: consumers poll this on hot paths.
+  /// the uncharge that brings it back to the low-water mark, `budget -
+  /// budget / 8` (hysteresis: a consumer that sheds just below the budget
+  /// and immediately re-charges does not flap the flag, damping the
+  /// spill/restore ping-pong at the budget line). Lock-free: consumers poll
+  /// this on hot paths.
   bool UnderPressure() const {
     return pressured_.load(std::memory_order_relaxed);
   }
@@ -144,80 +102,52 @@ class MemoryBroker {
   }
 
   uint64_t peak_total_bytes() const EXCLUDES(mu_);
-  uint64_t class_bytes(MemoryClass cls) const EXCLUDES(mu_);
-  std::vector<MemoryConsumerStats> ConsumerSnapshots() const EXCLUDES(mu_);
 
  private:
-  struct Entry {
-    MemoryClass cls = MemoryClass::kOther;
-    std::string name;
-    uint64_t bytes = 0;
-    uint64_t peak_bytes = 0;
-    bool live = false;
-  };
-
-  void Charge(size_t id, uint64_t bytes) EXCLUDES(mu_);
-  void Uncharge(size_t id, uint64_t bytes) EXCLUDES(mu_);
-  void Unregister(size_t id) EXCLUDES(mu_);
-  uint64_t ConsumerBytes(size_t id) const EXCLUDES(mu_);
+  void Charge(uint64_t bytes) EXCLUDES(mu_);
+  void Uncharge(uint64_t bytes) EXCLUDES(mu_);
 
   /// Re-derives the pressure flag after `total_` moved to `after`. The flag
   /// is written only under `mu_` (so rise/fall transitions serialize) but
   /// read lock-free by UnderPressure().
   void UpdatePressureLocked(uint64_t before, uint64_t after) REQUIRES(mu_);
 
-  const MemoryBrokerOptions options_;
+  const uint64_t budget_;
   const uint64_t low_water_;
   /// The broker latch is a leaf: BatchPool charges its query scope (which
-  /// forwards here) while holding the pool latch, and shared-scan groups
-  /// charge window bytes under the group latch.
+  /// forwards here) while holding the pool latch.
   mutable latch::Latch mu_{latch::LatchRank::kBroker, "MemoryBroker::mu_"};
-  std::vector<Entry> entries_ GUARDED_BY(mu_);
-  std::vector<size_t> free_ids_ GUARDED_BY(mu_);
-  uint64_t class_bytes_[kNumMemoryClasses] GUARDED_BY(mu_) = {};
   uint64_t peak_total_ GUARDED_BY(mu_) = 0;
-  /// Mirror of the summed entry bytes, readable without the latch.
+  /// Written under `mu_`, readable without it.
   std::atomic<uint64_t> total_{0};
   /// Hysteresis pressure flag (see UnderPressure); written under `mu_` only.
   std::atomic<bool> pressured_{false};
   std::atomic<uint64_t> pressure_epoch_{0};
 };
 
-/// The interface a memory pool charges its footprint through when it serves
-/// one specific owner (a query) rather than a global consumer class.
-class MemoryAccount {
- public:
-  virtual ~MemoryAccount() = default;
-  virtual void Charge(uint64_t bytes) = 0;
-  virtual void Uncharge(uint64_t bytes) = 0;
-  /// True when the owner should shed memory instead of retaining more.
-  virtual bool OverQuota() const = 0;
-};
-
-/// Per-query execution-memory account: charged through ExecContext by the
-/// query's batch pools, counted against a per-query quota and (when a broker
-/// is attached) against the global kExecBatches class. Breaching the quota —
-/// or global broker pressure — makes the pools shed recycled storage; the
+/// Per-query execution-memory account: charged by the query's batch pools
+/// (through ExecContext), counted against a per-query quota and, when a
+/// broker is attached, against the broker's total. Breaching the quota — or
+/// global broker pressure — makes the pools shed recycled storage; the
 /// query itself never fails and its simulated cost never changes.
-class QueryMemoryScope : public MemoryAccount {
+class QueryMemoryScope {
  public:
   /// `broker` may be null: the scope then enforces only its own quota.
   explicit QueryMemoryScope(MemoryBroker* broker = nullptr,
                             uint64_t quota_bytes = UINT64_MAX);
-  ~QueryMemoryScope() override = default;
 
   QueryMemoryScope(const QueryMemoryScope&) = delete;
   QueryMemoryScope& operator=(const QueryMemoryScope&) = delete;
 
-  void Charge(uint64_t bytes) override;
-  void Uncharge(uint64_t bytes) override;
-  bool OverQuota() const override;
+  void Charge(uint64_t bytes);
+  void Uncharge(uint64_t bytes) { consumer_.Uncharge(bytes); }
+  /// True when the query should shed memory instead of retaining more.
+  bool OverQuota() const;
 
-  uint64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  uint64_t bytes() const { return consumer_.bytes(); }
   uint64_t peak_bytes() const {
     return peak_bytes_.load(std::memory_order_relaxed);
   }
-  uint64_t quota_bytes() const { return quota_; }
   /// Charges that landed (or stayed) above the quota.
   uint64_t quota_breaches() const {
     return breaches_.load(std::memory_order_relaxed);
@@ -227,7 +157,6 @@ class QueryMemoryScope : public MemoryAccount {
   MemoryBroker* broker_;
   const uint64_t quota_;
   MemoryBroker::Consumer consumer_;
-  std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> peak_bytes_{0};
   std::atomic<uint64_t> breaches_{0};
 };

@@ -238,13 +238,6 @@ std::string EncodeDonePayload(uint64_t tag, const QueryResult& result) {
   AppendFmt(&out, " queue_wait_ms=%.17g", m.queue_wait_ms);
   AppendFmt(&out, " exec_ms=%.17g", m.exec_ms);
   AppendFmt(&out, " latency_ms=%.17g", m.latency_ms);
-  if (!result.keys.empty()) {
-    out.append(" keys=");
-    for (size_t i = 0; i < result.keys.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      AppendFmt(&out, "%" PRId64, result.keys[i]);
-    }
-  }
   if (!result.status.message().empty()) {
     // msg= is free text through end-of-payload; must stay the last field.
     out.append(" msg=");
@@ -325,8 +318,6 @@ Status ParseDonePayload(std::string_view payload, uint64_t* tag,
       if (!(s = ParseF64(val, &m.exec_ms)).ok()) return s;
     } else if (key == "latency_ms") {
       if (!(s = ParseF64(val, &m.latency_ms)).ok()) return s;
-    } else if (key == "keys") {
-      if (!(s = ParseI64List(val, &result->keys)).ok()) return s;
     } else {
       // Unknown fields are skipped: forward compatibility for added metrics.
       (void)d;

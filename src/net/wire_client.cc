@@ -91,7 +91,6 @@ void WireClient::Dispatch(const Frame& frame) {
       it->second.complete = true;
       it->second.status = std::move(result.status);
       it->second.metrics = result.metrics;
-      it->second.keys = std::move(result.keys);
       return;
     }
     case FrameType::kError: {

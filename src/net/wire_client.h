@@ -31,7 +31,6 @@ struct WireResult {
   Status status;          ///< The engine's status (or the server's error).
   QueryMetrics metrics;   ///< Bit-identical to the engine's accounting.
   std::vector<std::vector<int64_t>> rows;  ///< Streamed result rows.
-  std::vector<int64_t> keys;               ///< KEYS=1 queries.
 };
 
 class WireClient {

@@ -184,10 +184,6 @@ Status ParseHints(Lexer& lex, ParsedStatement* stmt) {
       uint64_t v = 0;
       s = ParseUInt64(val, &v);
       stmt->allow_sharing = v != 0;
-    } else if (EqualsIgnoreCase(key, "KEYS")) {
-      uint64_t v = 0;
-      s = ParseUInt64(val, &v);
-      stmt->collect_keys = v != 0;
     } else {
       s = SyntaxError("hint key", key);
     }
@@ -404,7 +400,6 @@ Result<QuerySpec> BindStatement(const QueryCatalog& catalog,
   spec.predicate.hi = stmt.hi;
   spec.need_order = stmt.need_order;
   spec.dop = stmt.dop;
-  spec.collect_keys = stmt.collect_keys;
   spec.allow_sharing = stmt.allow_sharing;
   spec.estimate = stmt.estimate;
   if (stmt.has_lane) spec.lane = stmt.lane;

@@ -9,7 +9,7 @@
 //       [ORDER BY KEY]
 //       [WITH (POLICY=<auto|full|index|sort|switch|smooth|shared|compressed>,
 //              DOP=<0..64>, LANE=<batch|sla>, ESTIMATE=<n>,
-//              SHARING=<0|1>, KEYS=<0|1>)]
+//              SHARING=<0|1>)]
 //   INSERT INTO <table> VALUES (<v>, ...) [, (<v>, ...)]...
 //   UPDATE <table> SET ROW (<v>, ...) WHERE TID (<page>, <slot>)
 //   DELETE FROM <table> WHERE TID (<page>, <slot>)
@@ -68,7 +68,6 @@ struct ParsedStatement {
   QueryLane lane = QueryLane::kBatch;
   uint64_t estimate = 0;
   bool allow_sharing = true;
-  bool collect_keys = false;
 
   // WRITE (possibly several chained statements batched into one query).
   std::vector<ParsedWriteOp> ops;

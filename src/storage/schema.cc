@@ -186,7 +186,9 @@ Schema MakeIntSchema(size_t num_columns) {
   std::vector<Column> cols;
   cols.reserve(num_columns);
   for (size_t i = 0; i < num_columns; ++i) {
-    cols.push_back({"c" + std::to_string(i + 1), ValueType::kInt64});
+    std::string name = "c";
+    name.append(std::to_string(i + 1));
+    cols.push_back({std::move(name), ValueType::kInt64});
   }
   return Schema(std::move(cols));
 }

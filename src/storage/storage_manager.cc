@@ -4,27 +4,32 @@ namespace smoothscan {
 
 FileId StorageManager::CreateFile(std::string name) {
   latch::LatchGuard lock(mu_);
-  files_.push_back(File{std::move(name), {}});
-  return static_cast<FileId>(files_.size() - 1);
+  const size_t id = num_files_.load(std::memory_order_relaxed);
+  SMOOTHSCAN_CHECK(static_cast<FileId>(id) == id);  // 27 chunks hold them.
+  const size_t k = ChunkOf(id);
+  std::unique_ptr<File[]>& chunk = chunks_[k];
+  if (chunk == nullptr) chunk = std::make_unique<File[]>(kFirstChunkFiles << k);
+  chunk[SlotOf(id, k)].name = std::move(name);
+  num_files_.store(id + 1, std::memory_order_release);
+  return static_cast<FileId>(id);
 }
 
 PageId StorageManager::AppendPage(FileId file) {
   latch::LatchGuard lock(mu_);
-  SMOOTHSCAN_CHECK(file < files_.size());
-  files_[file].pages.push_back(std::make_unique<Page>(page_size_));
-  return static_cast<PageId>(files_[file].pages.size() - 1);
+  File& f = GetFile(file);
+  f.pages.push_back(std::make_unique<Page>(page_size_));
+  return static_cast<PageId>(f.pages.size() - 1);
 }
 
 void StorageManager::TruncateFile(FileId file) {
   latch::LatchGuard lock(mu_);
-  SMOOTHSCAN_CHECK(file < files_.size());
-  files_[file].pages.clear();
+  GetFile(file).pages.clear();
 }
 
 Page* StorageManager::GetPageForWrite(FileId file, PageId page) {
-  SMOOTHSCAN_CHECK(file < files_.size());
-  SMOOTHSCAN_CHECK(page < files_[file].pages.size());
-  return files_[file].pages[page].get();
+  File& f = GetFile(file);
+  SMOOTHSCAN_CHECK(page < f.pages.size());
+  return f.pages[page].get();
 }
 
 const Page& StorageManager::GetPage(FileId file, PageId page) const {

@@ -8,15 +8,18 @@
 //
 // Threading: query-time execution only *reads* pages, so concurrent GetPage
 // calls from parallel workers need no latch and Page pointers stay stable for
-// the pages' lifetime. Structure mutation (CreateFile / AppendPage, including
-// result-cache spill files) is latch-protected but must not overlap parallel
-// query execution on the same engine — spills belong to the serial,
-// order-preserving paths.
+// the pages' lifetime. Structure mutation (CreateFile / AppendPage) is
+// latch-protected. CreateFile may run while queries read other files: a
+// Result Cache creates its spill file mid-query, under broker pressure, while
+// the engine's other queries scan. AppendPage and TruncateFile must not
+// overlap reads of the same file.
 
 #ifndef SMOOTHSCAN_STORAGE_STORAGE_MANAGER_H_
 #define SMOOTHSCAN_STORAGE_STORAGE_MANAGER_H_
 
-#include <deque>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,21 +71,36 @@ class StorageManager {
     std::vector<std::unique_ptr<Page>> pages;
   };
 
-  const File& GetFile(FileId file) const {
-    SMOOTHSCAN_CHECK(file < files_.size());
-    return files_[file];
+  /// Chunk k holds kFirstChunkFiles << k files and starts at file
+  /// kFirstChunkFiles * (2^k - 1); 27 chunks cover every FileId.
+  static constexpr size_t kFirstChunkFiles = 64;
+  static constexpr size_t kNumChunks = 27;
+  static size_t ChunkOf(size_t file) {
+    return std::bit_width(file / kFirstChunkFiles + 1) - 1;
+  }
+  static size_t SlotOf(size_t file, size_t chunk) {
+    return file - kFirstChunkFiles * ((size_t{1} << chunk) - 1);
+  }
+
+  File& GetFile(FileId file) const {
+    SMOOTHSCAN_CHECK(file < num_files_.load(std::memory_order_acquire));
+    const size_t chunk = ChunkOf(file);
+    return chunks_[chunk][SlotOf(file, chunk)];
   }
 
   uint32_t page_size_;
   /// Guards structure mutation (files/page vectors).
   mutable latch::Latch mu_{latch::LatchRank::kStorage, "StorageManager::mu_"};
-  /// A deque so File references stay stable across CreateFile — snapshot
-  /// publish may append pages to one table while queries run against others.
-  /// Same-table append-vs-read is excluded by the table read leases
-  /// (write/table_version.h), not by a latch here — which is also why this
-  /// member is deliberately NOT `GUARDED_BY(mu_)`: the read path (GetPage,
-  /// NumPages, FileName) is latch-free by design and lease-protected.
-  std::deque<File> files_;
+  /// Files live in fixed chunks that never move, and CreateFile publishes a
+  /// file by a release store of `num_files_` after constructing it, so a
+  /// latch-free reader can look up one file while another is created —
+  /// snapshot publish may append pages to one table while queries run
+  /// against others. Same-table append-vs-read is excluded by the table read
+  /// leases (write/table_version.h), not by a latch here — which is also why
+  /// these members are deliberately NOT `GUARDED_BY(mu_)`: the read path
+  /// (GetPage, NumPages, FileName) is latch-free by design.
+  std::array<std::unique_ptr<File[]>, kNumChunks> chunks_;
+  std::atomic<size_t> num_files_{0};
 };
 
 }  // namespace smoothscan

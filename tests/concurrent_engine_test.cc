@@ -19,6 +19,7 @@
 #include "engine/query_engine.h"
 #include "engine/session.h"
 #include "exec/task_scheduler.h"
+#include "obs/metrics.h"
 #include "sharing/scan_sharing.h"
 #include "workload/workload_driver.h"
 
@@ -92,6 +93,12 @@ class ConcurrentEngineTest : public ::testing::Test {
     spec.estimate = estimate;
     spec.collect_keys = true;
     return spec;
+  }
+
+  /// The engine's one broker charge for the shared buffer pool's frames.
+  uint64_t FrameBytes() const {
+    return uint64_t{engine_->options().buffer_pool_pages} *
+           engine_->options().page_size;
   }
 
   std::unique_ptr<Engine> engine_;
@@ -467,6 +474,8 @@ TEST_F(ConcurrentEngineTest, ResultCacheGovernedWithoutSharing) {
   QueryEngineOptions qeo;
   qeo.broker = &broker;
   QueryEngine qe(engine_.get(), qeo);
+  const uint64_t frames = FrameBytes();
+  ASSERT_EQ(broker.total_bytes(), frames);
   SessionOptions so;
   so.stream_batches = 1;
   Session session(&qe, so);
@@ -480,19 +489,104 @@ TEST_F(ConcurrentEngineTest, ResultCacheGovernedWithoutSharing) {
   TupleBatch batch;
   ASSERT_TRUE(handle.NextBatch(&batch));
   // About nine batches in all: the executor is parked on the one-batch
-  // stream window with the scan, and its Result Cache, still open.
-  uint64_t cache_peak = 0;
-  size_t caches = 0;
-  for (const MemoryConsumerStats& c : broker.ConsumerSnapshots()) {
-    if (c.name != "result_cache") continue;
-    ++caches;
-    cache_peak = std::max(cache_peak, c.peak_bytes);
-  }
+  // stream window with the scan, and its Result Cache, still open. A serial
+  // scan has no batch pool, so everything above the frames is the cache.
+  const uint64_t parked = broker.total_bytes() - frames;
   while (handle.NextBatch(&batch)) {
   }
   ASSERT_TRUE(handle.Wait().status.ok());
-  EXPECT_EQ(caches, 1u);
-  EXPECT_GT(cache_peak, 0u);
+  EXPECT_GT(parked, 0u);
+  EXPECT_EQ(broker.total_bytes(), frames);
+}
+
+// Every consumer returns what it charged. Under a tight budget, DOP-2 scans
+// breach a per-query quota below one batch; then ordered Smooth Scans whose
+// Result Caches spill for pressure run beside more DOP-2 scans while one
+// ordered scan sits parked mid-stream with its cache charged, and is
+// cancelled. Afterwards the broker holds exactly the frames again and the
+// pressure episode is over.
+TEST_F(ConcurrentEngineTest, BrokerBytesBackAtBaselineAfterMixedLoad) {
+  const uint64_t frames = FrameBytes();
+  // Low water (budget - budget / 8) sits 112 KiB above the frames, so the
+  // pressure that the caches raise can end; the budget is frames / 7 +
+  // 128 KiB above them, a few thousand cached tuples.
+  MemoryBrokerOptions bo;
+  bo.global_budget_bytes = frames + frames / 7 + 128 * 1024;
+  MemoryBroker broker(bo);
+  obs::MetricsRegistry registry;
+  TaskScheduler scheduler(2);
+  QueryEngineOptions qeo;
+  qeo.max_admitted = 4;
+  qeo.scheduler = &scheduler;
+  qeo.broker = &broker;
+  qeo.metrics = &registry;
+  qeo.query_quota_bytes = 4 * 1024;
+  QueryEngine qe(engine_.get(), qeo);
+  SessionOptions so;
+  so.max_outstanding = 16;
+  so.stream_batches = 1;
+  Session session(&qe, so);
+  auto submit_parallel = [&](std::vector<QueryHandle>* out) {
+    for (const PathKind kind : {PathKind::kFullScan, PathKind::kSmoothScan}) {
+      out->push_back(session.Query()
+                         .Table(&db_->index())
+                         .Predicate(db_->PredicateForSelectivity(0.2))
+                         .Policy(kind)
+                         .Dop(2)
+                         .Submit());
+    }
+  };
+  uint64_t breaches = 0;
+  auto wait_parallel = [&](std::vector<QueryHandle>* handles) {
+    for (QueryHandle& h : *handles) {
+      const QueryResult& r = h.Wait();
+      ASSERT_TRUE(r.status.ok());
+      EXPECT_TRUE(r.metrics.parallel);
+      breaches += r.metrics.mem_quota_breaches;
+    }
+  };
+
+  // The first warm batch a pool charges breaches the quota; with nothing
+  // else charged the broker is not yet under pressure, so it is charged.
+  std::vector<QueryHandle> first;
+  submit_parallel(&first);
+  wait_parallel(&first);
+  EXPECT_GT(breaches, 0u);
+
+  QueryHandle victim = session.Query()
+                           .Table(&db_->index())
+                           .Predicate(db_->PredicateForSelectivity(0.5))
+                           .Policy(PathKind::kSmoothScan)
+                           .Ordered()
+                           .Stream()
+                           .Submit();
+  TupleBatch batch;
+  ASSERT_TRUE(victim.NextBatch(&batch));
+  EXPECT_GT(broker.total_bytes(), frames) << "the parked cache is charged";
+  std::vector<QueryHandle> ordered;
+  std::vector<QueryHandle> second;
+  for (int i = 0; i < 3; ++i) {
+    ordered.push_back(session.Query()
+                          .Table(&db_->index())
+                          .Predicate(db_->PredicateForSelectivity(0.3))
+                          .Policy(PathKind::kSmoothScan)
+                          .Ordered()
+                          .Submit());
+  }
+  submit_parallel(&second);
+  for (QueryHandle& h : ordered) ASSERT_TRUE(h.Wait().status.ok());
+  wait_parallel(&second);
+  victim.Cancel();
+  while (victim.NextBatch(&batch)) {
+  }
+  const QueryResult& cancelled = victim.Wait();
+  EXPECT_TRUE(cancelled.metrics.cancelled) << cancelled.status.ToString();
+
+  EXPECT_GT(registry.counter("rc.pressure_spills")->value(), 0u);
+  EXPECT_GT(broker.pressure_epoch(), 0u);
+  // Every byte came back.
+  EXPECT_EQ(broker.total_bytes(), frames);
+  EXPECT_FALSE(broker.UnderPressure());
 }
 
 TEST(LatencyPercentileTest, NearestRank) {

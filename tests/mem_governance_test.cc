@@ -1,14 +1,15 @@
 // Memory-governance differential and allocation-regression testing.
 //
-// The contract under test (ISSUE 7): the arena-backed batch pool and the
-// unified memory broker are *accounting and recycling* layers — they may
-// shed storage and spill cached tuples, but they must never change any
-// query's simulated cost by a single bit, and a warm steady-state scan loop
-// must perform zero heap allocations per batch. The allocation claim is proven with a counting global allocator
-// (suite AllocationRegression, run as its own CI step); the cost claim with
-// exact EXPECT_EQ differentials — pooled vs allocate-per-batch ablation at
-// DOP 1/2/8, and broker on (tight budget + per-query quota, governance
-// visibly firing) vs off through the QueryEngine at admission caps 1/2/8.
+// The contract under test: the recycling batch pool and the unified memory
+// broker are *accounting and recycling* layers — they may shed storage and
+// spill cached tuples, but they must never change any query's simulated cost
+// by a single bit, and a warm steady-state scan loop must perform zero heap
+// allocations per batch. The allocation claim is proven with a counting
+// global allocator (suite AllocationRegression, run as its own CI step); the
+// cost claim with exact EXPECT_EQ differentials — pooled vs
+// allocate-per-batch ablation at DOP 1/2/8, and broker on (tight budget +
+// per-query quota, governance visibly firing) vs off through the QueryEngine
+// at admission caps 1/2/8.
 // Also covers: the recycled-batch hand-off across Open cycles (the
 // `pending_ = TupleBatch()` storage-discard regression) and deterministic
 // ResultCache pressure spills that lose no tuple.
@@ -556,7 +557,7 @@ TEST_F(MemGovernanceTest, ResultCachePressureSpillIsDeterministicAndLossless) {
   MemoryBrokerOptions bo;
   bo.global_budget_bytes = 4 * 1024;
   MemoryBroker broker(bo);
-  MemoryBroker::Consumer hog = broker.Register(MemoryClass::kOther, "hog");
+  MemoryBroker::Consumer hog(&broker);
   hog.Charge(8 * 1024);
   ASSERT_TRUE(broker.UnderPressure());
   const ResultCacheStats first = run_once(&broker);

@@ -1,59 +1,18 @@
-// Unit tests of the memory subsystem (src/mem/): the chunked bump Arena, the
-// recycled-TupleBatch BatchPool (warm reuse, quota shedding, the ablation
-// mode), the MemoryBroker's class accounting and pressure signal, and the
-// per-query QueryMemoryScope.
+// Unit tests of the memory subsystem (src/mem/): the recycled-TupleBatch
+// BatchPool (warm reuse, quota shedding, the ablation mode), the
+// MemoryBroker's total and pressure signal, and the per-query
+// QueryMemoryScope.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "mem/arena.h"
 #include "mem/batch_pool.h"
 #include "mem/memory_broker.h"
 
 namespace smoothscan {
 namespace {
-
-// ---------------------------------------------------------------- Arena
-
-TEST(ArenaTest, BumpAllocatesWithAlignment) {
-  Arena arena;
-  void* a = arena.Allocate(3, 1);
-  void* b = arena.Allocate(8, 8);
-  void* c = arena.Allocate(1, 64);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-  EXPECT_GE(arena.bytes_used(), 3u + 8u + 1u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
-
-TEST(ArenaTest, OversizedRequestGetsDedicatedChunk) {
-  Arena arena;
-  const size_t huge = Arena::kDefaultChunkBytes * 4;
-  void* p = arena.Allocate(huge, 8);
-  ASSERT_NE(p, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), huge);
-  // The bump chunk stays usable for small allocations afterwards.
-  EXPECT_NE(arena.Allocate(16, 8), nullptr);
-}
-
-TEST(ArenaTest, NewPlacementConstructs) {
-  Arena arena;
-  std::vector<int>* v = arena.New<std::vector<int>>(5, 7);
-  ASSERT_EQ(v->size(), 5u);
-  EXPECT_EQ((*v)[4], 7);
-  v->~vector();  // Caller owns destruction; memory goes with the arena.
-}
-
-TEST(ArenaTest, ManySmallAllocationsSpanChunks) {
-  Arena arena;
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_NE(arena.Allocate(16, 8), nullptr);
-  }
-  EXPECT_GT(arena.num_chunks(), 1u);
-}
 
 // ------------------------------------------------------------- BatchPool
 
@@ -146,32 +105,25 @@ TEST(BatchPoolTest, UnchargesOnDestruction) {
 
 // ---------------------------------------------------------- MemoryBroker
 
-TEST(MemoryBrokerTest, TracksClassesAndTotal) {
+TEST(MemoryBrokerTest, TracksTotalAndConsumerBytes) {
   MemoryBroker broker;
-  MemoryBroker::Consumer pool =
-      broker.Register(MemoryClass::kBufferPool, "pool");
-  MemoryBroker::Consumer cache =
-      broker.Register(MemoryClass::kResultCache, "cache");
+  MemoryBroker::Consumer pool(&broker);
+  MemoryBroker::Consumer cache(&broker);
   pool.Charge(1000);
   cache.Charge(500);
   EXPECT_EQ(broker.total_bytes(), 1500u);
-  EXPECT_EQ(broker.class_bytes(MemoryClass::kBufferPool), 1000u);
-  EXPECT_EQ(broker.class_bytes(MemoryClass::kResultCache), 500u);
+  EXPECT_EQ(pool.bytes(), 1000u);
   cache.Uncharge(200);
   EXPECT_EQ(broker.total_bytes(), 1300u);
   EXPECT_EQ(cache.bytes(), 300u);
-
-  const auto snaps = broker.ConsumerSnapshots();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[1].name, "cache");
-  EXPECT_EQ(snaps[1].peak_bytes, 500u);
+  EXPECT_EQ(broker.peak_total_bytes(), 1500u);
 }
 
 TEST(MemoryBrokerTest, PressureFlagAndEpoch) {
   MemoryBrokerOptions options;
   options.global_budget_bytes = 1000;
   MemoryBroker broker(options);
-  MemoryBroker::Consumer c = broker.Register(MemoryClass::kOther, "c");
+  MemoryBroker::Consumer c(&broker);
   EXPECT_FALSE(broker.UnderPressure());
   c.Charge(1000);
   EXPECT_FALSE(broker.UnderPressure());  // At budget, not past it.
@@ -187,37 +139,35 @@ TEST(MemoryBrokerTest, PressureFlagAndEpoch) {
 }
 
 TEST(MemoryBrokerTest, PressureHysteresis) {
+  constexpr uint64_t kBudget = 1000;
+  constexpr uint64_t kLowWater = kBudget - kBudget / 8;  // 875.
   MemoryBrokerOptions options;
-  options.global_budget_bytes = 1000;
-  options.pressure_low_water_bytes = 600;
+  options.global_budget_bytes = kBudget;
   MemoryBroker broker(options);
-  EXPECT_EQ(broker.pressure_low_water(), 600u);
-  MemoryBroker::Consumer c = broker.Register(MemoryClass::kOther, "c");
-  c.Charge(1001);
+  MemoryBroker::Consumer c(&broker);
+  c.Charge(kBudget + 1);
   EXPECT_TRUE(broker.UnderPressure());
   EXPECT_EQ(broker.pressure_epoch(), 1u);
   // Dipping below budget but above the low water keeps the flag raised —
   // this is the damping that stops spill/restore ping-pong at the boundary.
-  c.Uncharge(300);  // Total 701.
+  c.Uncharge(c.bytes() - (kLowWater + 1));
   EXPECT_TRUE(broker.UnderPressure());
-  c.Charge(200);  // Total 901: re-crossing nothing, same episode.
+  c.Charge(kBudget - c.bytes());  // At the budget: re-crossing nothing.
   EXPECT_TRUE(broker.UnderPressure());
   EXPECT_EQ(broker.pressure_epoch(), 1u);
-  c.Uncharge(301);  // Total 600: at the low water, the episode ends.
+  c.Uncharge(c.bytes() - kLowWater);  // At the low water, the episode ends.
   EXPECT_FALSE(broker.UnderPressure());
-  c.Charge(401);  // Total 1001: a fresh episode, new epoch.
+  c.Charge(kBudget + 1 - c.bytes());  // A fresh episode, new epoch.
   EXPECT_TRUE(broker.UnderPressure());
   EXPECT_EQ(broker.pressure_epoch(), 2u);
 }
 
-TEST(MemoryBrokerTest, PressureClearsOnUnregister) {
+TEST(MemoryBrokerTest, PressureClearsOnDestruction) {
   MemoryBrokerOptions options;
   options.global_budget_bytes = 1000;
   MemoryBroker broker(options);
-  // Default low water derives as budget - budget / 8.
-  EXPECT_EQ(broker.pressure_low_water(), 875u);
   {
-    MemoryBroker::Consumer c = broker.Register(MemoryClass::kOther, "c");
+    MemoryBroker::Consumer c(&broker);
     c.Charge(1500);
     EXPECT_TRUE(broker.UnderPressure());
   }
@@ -225,18 +175,15 @@ TEST(MemoryBrokerTest, PressureClearsOnUnregister) {
   EXPECT_FALSE(broker.UnderPressure());
 }
 
-TEST(MemoryBrokerTest, UnregisterReturnsBytes) {
+TEST(MemoryBrokerTest, DestructionReturnsBytes) {
   MemoryBroker broker;
+  MemoryBroker::Consumer kept(&broker);
+  kept.Charge(1);
   {
-    MemoryBroker::Consumer c = broker.Register(MemoryClass::kOther, "c");
+    MemoryBroker::Consumer c(&broker);
     c.Charge(4096);
-    EXPECT_EQ(broker.total_bytes(), 4096u);
+    EXPECT_EQ(broker.total_bytes(), 4097u);
   }
-  EXPECT_EQ(broker.total_bytes(), 0u);
-  // Ids recycle without mixing accounts.
-  MemoryBroker::Consumer d = broker.Register(MemoryClass::kOther, "d");
-  EXPECT_EQ(d.bytes(), 0u);
-  d.Charge(1);
   EXPECT_EQ(broker.total_bytes(), 1u);
 }
 
@@ -259,7 +206,7 @@ TEST(QueryMemoryScopeTest, BrokerPressurePropagatesToOverQuota) {
   MemoryBrokerOptions options;
   options.global_budget_bytes = 100;
   MemoryBroker broker(options);
-  MemoryBroker::Consumer other = broker.Register(MemoryClass::kOther, "hog");
+  MemoryBroker::Consumer other(&broker);
   QueryMemoryScope scope(&broker, /*quota_bytes=*/UINT64_MAX);
   scope.Charge(10);
   EXPECT_FALSE(scope.OverQuota());
@@ -267,8 +214,8 @@ TEST(QueryMemoryScopeTest, BrokerPressurePropagatesToOverQuota) {
   EXPECT_TRUE(scope.OverQuota());  // The scope sheds on the hog's behalf.
   other.Uncharge(200);
   EXPECT_FALSE(scope.OverQuota());
-  // The scope's own charge flowed into the broker's kExecBatches class.
-  EXPECT_EQ(broker.class_bytes(MemoryClass::kExecBatches), 10u);
+  // The scope's own charge flowed into the broker's total.
+  EXPECT_EQ(broker.total_bytes(), 10u);
   scope.Uncharge(10);
 }
 

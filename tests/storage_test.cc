@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/engine.h"
@@ -416,6 +419,34 @@ TEST_F(BufferPoolTest, MirrorSeesExtentResidency) {
   for (PageId p = 2; p < 6; ++p) EXPECT_TRUE(shared.Contains(file_, p));
   EXPECT_EQ(shared.pinned_pages(), 0u);  // Extents take no pins anywhere.
   EXPECT_EQ(shared_disk.stats().io_requests, 0u);
+}
+
+// ---------- StorageManager ----------
+
+// A Result Cache creates its spill file mid-query while the engine's other
+// queries read their tables: a file created on one thread must not disturb
+// lookups of existing files on another (the thread-sanitizer build checks
+// the race; every build checks the ids and contents).
+TEST(StorageManagerTest, CreateFileWhileOtherFilesAreRead) {
+  StorageManager storage(256);
+  const FileId table = storage.CreateFile("table");
+  const PageId page = storage.AppendPage(table);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      ASSERT_EQ(storage.NumPages(table), 1u);
+      ASSERT_EQ(&storage.GetPage(table, page),
+                storage.GetPageForWrite(table, page));
+      ASSERT_EQ(storage.FileName(table), "table");
+    }
+  });
+  for (FileId i = 1; i <= 1000; ++i) {
+    ASSERT_EQ(storage.CreateFile("spill"), i);
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(storage.NumPages(1000), 0u);
+  EXPECT_EQ(storage.FileName(1000), "spill");
 }
 
 // ---------- HeapFile ----------

@@ -202,7 +202,9 @@ TEST_P(TpchQueryEquivalence, SameResultForEveryAccessPath) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryEquivalence,
                          ::testing::Values(1, 4, 6, 7, 12, 14, 19),
                          [](const ::testing::TestParamInfo<QueryParam>& info) {
-                           return "Q" + std::to_string(info.param);
+                           std::string name = "Q";
+                           name.append(std::to_string(info.param));
+                           return name;
                          });
 
 TEST_F(TpchTest, SmoothScanReducesIoRequestsOnQ6) {
